@@ -32,6 +32,10 @@ void SmrClient::issue_ready() {
     req.cmd.client = id();
     req.cmd.request_id = ++next_request_id_;
     req.cmd.op = std::move(next.op);
+    // Everything below the lowest request still in flight is resolved
+    // (answered or given up): replicas may drop those replies for good.
+    req.cmd.acked = in_flight_.empty() ? req.cmd.request_id
+                                       : in_flight_.begin()->first;
     req.done = std::move(next.done);
     req.issued_at = world().now();
     req.attempts = 1;

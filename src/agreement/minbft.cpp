@@ -482,6 +482,7 @@ void MinBftReplica::on_request(ProcessId from, Command cmd) {
     reply_to(cmd, *cached);
     return;
   }
+  if (dedup_.below_floor(cmd)) return;  // acknowledged: settled for good
   const bool fresh = pending_.emplace(cmd.key(), cmd).second;
   if (fresh) arm_request_timer(cmd);
   if (!in_view_change_ && is_primary()) {
@@ -495,10 +496,8 @@ void MinBftReplica::on_request(ProcessId from, Command cmd) {
 }
 
 void MinBftReplica::propose(const Command& cmd) {
-  // A command may only occupy one slot per view.
-  for (const auto& [counter, slot] : slots_)
-    for (const Command& slotted : slot.cmds)
-      if (slotted.key() == cmd.key()) return;
+  // A command may only occupy one open slot per view.
+  if (slotted_keys_.contains(cmd.key())) return;
 
   Prepare p;
   p.view = view_;
@@ -592,8 +591,8 @@ bool MinBftReplica::accept_slot(ViewNum view,
   if (view_base_counter_ == 0) {
     view_base_counter_ = primary_ui.counter;
     next_exec_counter_ = primary_ui.counter;
-  } else if (primary_ui.counter < view_base_counter_) {
-    return false;  // before this view's window
+  } else if (primary_ui.counter < next_exec_counter_) {
+    return false;  // before this view's window, or executed and dropped
   }
   Slot slot;
   slot.cmds = cmds;
@@ -605,8 +604,8 @@ bool MinBftReplica::accept_slot(ViewNum view,
   // batch order, so a new primary can rebuild proposal order command by
   // command even if it only ever saw parts of the history.
   for (const Command& cmd : cmds) {
-    vc_archive_.push_back({view, primary_ui.counter, cmd});
-    if (batched()) slotted_keys_.insert(cmd.key());
+    vc_archive_.put({view, primary_ui.counter, cmd});
+    slotted_keys_.insert(cmd.key());
   }
   return true;
 }
@@ -659,7 +658,7 @@ void MinBftReplica::handle_prepare(ProcessId from, Prepare p) {
       maybe_send_own_commit(p.ui.counter);
       // The request is now in flight under this view; make sure a timer
       // guards it even if the client's REQUEST never reached us directly.
-      if (!dedup_.lookup(p.cmd) &&
+      if (!dedup_.settled(p.cmd) &&
           pending_.emplace(p.cmd.key(), p.cmd).second)
         arm_request_timer(p.cmd);
       try_execute();
@@ -714,7 +713,7 @@ void MinBftReplica::handle_batch_prepare(ProcessId from, BatchPrepare p) {
       // Guard every batch member with a timer, as the singleton path does
       // for its one command (see handle_prepare).
       for (const Command& cmd : p.cmds)
-        if (!dedup_.lookup(cmd) && pending_.emplace(cmd.key(), cmd).second)
+        if (!dedup_.settled(cmd) && pending_.emplace(cmd.key(), cmd).second)
           arm_request_timer(cmd);
       try_execute();
     });
@@ -794,16 +793,16 @@ void MinBftReplica::try_execute() {
     }
     if (slot.committers.size() < options_.commit_quorum) break;
     // Below a NEW-VIEW's execution floor, a fresh command would land at
-    // the wrong log index; wait for state transfer. Dedup'd re-executions
+    // the wrong log index; wait for state transfer. Settled commands
     // never append, so they stay allowed (and keep clients served). A
     // batch executes only once *every* member is settled or executable.
     if (log_.size() < exec_floor_) {
-      const bool all_deduped =
+      const bool all_settled =
           std::all_of(slot.cmds.begin(), slot.cmds.end(),
                       [this](const Command& cmd) {
-                        return dedup_.lookup(cmd).has_value();
+                        return dedup_.settled(cmd);
                       });
-      if (!all_deduped) break;
+      if (!all_settled) break;
     }
     // Advance the cursor before executing: execute() may hit a checkpoint
     // boundary and persist(), and the durable image must record the
@@ -813,6 +812,13 @@ void MinBftReplica::try_execute() {
     // self-inflicted equivocation slot once counters are volatile.
     ++next_exec_counter_;
     execute(slot);
+  }
+  // Slots behind the cursor are done: accept_slot refuses their counters
+  // from now on, so nothing re-opens them.
+  while (!slots_.empty() && slots_.begin()->first < next_exec_counter_) {
+    for (const Command& cmd : slots_.begin()->second.cmds)
+      slotted_keys_.erase(cmd.key());
+    slots_.erase(slots_.begin());
   }
   // Executions free pipeline room; admit whatever is queued behind it.
   if (batched()) maybe_flush_batch();
@@ -841,10 +847,11 @@ void MinBftReplica::execute(Slot& slot) {
       // Exactly-once: re-proposed after a view change, or a retry that
       // landed in a later batch than its first commit.
       result = *cached;
+    } else if (dedup_.below_floor(cmd)) {
+      continue;  // its client acknowledged it: neither run nor answered
     } else {
       result = machine_->apply(cmd.op);
-      dedup_.record(cmd, result);
-      log_.append({cmd, result});
+      record_execution(cmd, result);
       const Time latency = world().now() - slot.accepted_at;
       world().metrics().histogram("smr.commit_latency_ticks").record(latency);
       world().tracer().complete("commit", "smr", id(), slot.accepted_at,
@@ -855,6 +862,16 @@ void MinBftReplica::execute(Slot& slot) {
     pending_.erase(cmd.key());
     reply_to(cmd, result);
   }
+}
+
+void MinBftReplica::record_execution(const Command& cmd, const Bytes& result) {
+  dedup_.record(cmd, result);
+  log_.append({cmd, result});
+  // The floor may have passed requests the client gave up on; they are
+  // settled now, so stop guarding them.
+  const auto first = pending_.lower_bound({cmd.client, 0});
+  pending_.erase(first,
+                 pending_.lower_bound({cmd.client, dedup_.floor(cmd.client)}));
 }
 
 void MinBftReplica::reply_to(const Command& cmd, const Bytes& result) {
@@ -916,12 +933,8 @@ void MinBftReplica::prune_stable() {
   const std::uint64_t upto =
       std::min<std::uint64_t>(stable_checkpoint_, log_.size());
   if (upto <= log_.base()) return;
-  std::set<std::pair<ProcessId, std::uint64_t>> settled;
   for (std::uint64_t k = log_.base(); k < upto; ++k)
-    settled.insert(log_.at(k).command.key());
-  std::erase_if(vc_archive_, [&](const VcEntry& e) {
-    return settled.contains(e.cmd.key());
-  });
+    vc_archive_.erase(log_.at(k).command.key());
   log_.prune_to(upto);
 }
 
@@ -958,7 +971,7 @@ void MinBftReplica::start_view_change(ViewNum target) {
   // Report every accepted slot not yet settled by a stable checkpoint
   // (with its original order) plus any buffered client requests that never
   // made it into a slot.
-  vc.entries = vc_archive_;
+  vc.entries = vc_archive_.entries();
   for (const auto& [key, cmd] : pending_) vc.pending.push_back(cmd);
   vc.sig = signer().sign(
       view_change_binding(target, vc.stable, vc.entries, vc.pending));
@@ -1117,7 +1130,7 @@ void MinBftReplica::maybe_assume_primacy(ViewNum target) {
     // depend on the primary's own execution history — divergent logs
     // (found by the byte-mutation fuzz sweep). Exactly-once is preserved
     // by dedup at execution time.
-    if (!dedup_.lookup(cmd) && pending_.emplace(cmd.key(), cmd).second)
+    if (!dedup_.settled(cmd) && pending_.emplace(cmd.key(), cmd).second)
       arm_request_timer(cmd);
     if (batched())
       enqueue_batch(cmd);
@@ -1338,20 +1351,12 @@ void MinBftReplica::install_bundle(const StateReply& b) {
     log_ = b.core.log;
     machine_->restore(b.core.machine_snapshot);
     dedup_ = b.core.dedup;
-    if (batched()) {
-      // Witness for the batch-atomicity checker: these commands' effects
-      // arrived via state transfer, so no "smr-exec" output will ever
-      // record them. Batched mode only — unbatched transcripts (and their
-      // golden fingerprints) must not change.
-      serde::Writer iw;
-      const auto installed = dedup_.keys();
-      iw.uvarint(installed.size());
-      for (const auto& [client, rid] : installed) {
-        iw.uvarint(client);
-        iw.uvarint(rid);
-      }
-      output("smr-install", iw.take());
-    }
+    // Witness for the batch-atomicity checker: these commands' effects
+    // arrived via state transfer, so no "smr-exec" output will ever record
+    // them. Batched mode only — unbatched transcripts (and their golden
+    // fingerprints) must not change.
+    if (batched())
+      output("smr-install", serde::encode(InstallWitness::of(dedup_)));
   }
   if (b.stable > stable_checkpoint_) stable_checkpoint_ = b.stable;
   exec_floor_ = std::max(exec_floor_, b.exec_floor);
@@ -1360,6 +1365,7 @@ void MinBftReplica::install_bundle(const StateReply& b) {
     view_ = b.view;
     in_view_change_ = false;
     slots_.clear();
+    slotted_keys_.clear();
     view_base_counter_ = b.view_base;
     next_exec_counter_ = b.next_exec;
   } else if (b.view == view_ && !in_view_change_) {
@@ -1400,7 +1406,7 @@ void MinBftReplica::install_bundle(const StateReply& b) {
   // are settled by the bundle; drop them, or their timers would hunt for a
   // view change nothing needs, forever.
   for (auto it = pending_.begin(); it != pending_.end();)
-    it = dedup_.lookup(it->second) ? pending_.erase(it) : ++it;
+    it = dedup_.settled(it->second) ? pending_.erase(it) : ++it;
   if (!needs_state() && state_probe_) {
     state_probe_ = false;
     const Time dur = world().now() - state_sync_started_at_;

@@ -62,6 +62,8 @@ struct MinBftVcEntry {
   SeqNum counter = 0;
   Command cmd;
 
+  std::pair<ViewNum, SeqNum> order() const { return {view, counter}; }
+
   void encode(serde::Writer& w) const;
   static MinBftVcEntry decode(serde::Reader& r);
 };
@@ -120,8 +122,12 @@ class MinBftReplica final : public sim::Process {
   std::uint64_t view_changes_seen() const { return view_changes_; }
   /// Times this replica came back from a crash.
   std::uint64_t recoveries() const { return recoveries_; }
-  /// Slots retained for view-change reports (pruned below stable).
+  /// Commands retained for view-change reports (pruned below stable).
   std::size_t vc_archive_size() const { return vc_archive_.size(); }
+  /// Slots of the current view not yet behind the execution cursor.
+  std::size_t open_slots() const { return slots_.size(); }
+  /// The reply cache: per-client floors and reply windows.
+  const ExecutionDeduper& reply_cache() const { return dedup_; }
 
   /// Builds a signed PREPARE wire message outside any replica — exposed so
   /// adversarial tests can drive Byzantine primaries by hand.
@@ -216,13 +222,21 @@ class MinBftReplica final : public sim::Process {
   void propose_batch(std::vector<Command> cmds);
   /// Proposed-but-unexecuted slots (the primary's in-flight window).
   std::size_t inflight_slots() const;
+  /// Opens (or merges into) the slot at primary_ui's counter. Refuses
+  /// counters behind the execution cursor: their slots are executed and
+  /// dropped, and a late COMMIT must not re-open them.
   bool accept_slot(ViewNum view, const std::vector<Command>& cmds,
                    const trusted::UniqueIdentifier& primary_ui);
   /// Casts and broadcasts this replica's COMMIT for an accepted slot
   /// (no-op for the primary, whose PREPARE is its vote).
   void maybe_send_own_commit(SeqNum primary_counter);
+  /// Executes every committed slot at the cursor, then drops the slots the
+  /// cursor has passed (never inside execute(), which holds a Slot&).
   void try_execute();
   void execute(Slot& slot);
+  /// Applies a fresh execution's bookkeeping: reply cache, floor, log, and
+  /// the pending requests the floor settled.
+  void record_execution(const Command& cmd, const Bytes& result);
   void reply_to(const Command& cmd, const Bytes& result);
   void maybe_checkpoint();
 
@@ -273,13 +287,17 @@ class MinBftReplica final : public sim::Process {
   // Actions waiting for a future view to start.
   std::map<ViewNum, std::vector<std::function<void()>>> view_waiting_;
 
-  // Client-facing state.
+  // Client-facing state. pending_ never holds a settled command: entries
+  // leave when they execute or their client's floor passes them.
   std::map<std::pair<ProcessId, std::uint64_t>, Command> pending_;
   ExecutionDeduper dedup_;
   ExecutionLog log_;
 
   // Batched-mode primary state: admitted-but-unproposed requests in
   // arrival order, with key sets for O(log n) duplicate admission checks.
+  // slotted_keys_ (the commands of this view's open slots) also guards the
+  // unbatched propose(): a command occupies at most one open slot per view,
+  // and a settled one never reaches either path.
   std::deque<Command> batch_queue_;
   std::set<std::pair<ProcessId, std::uint64_t>> queued_keys_;
   std::set<std::pair<ProcessId, std::uint64_t>> slotted_keys_;
@@ -297,8 +315,8 @@ class MinBftReplica final : public sim::Process {
     std::vector<Command> pending;
     std::uint64_t stable = 0;  // reporter's stable checkpoint
   };
-  /// Every accepted slot not yet covered by a stable checkpoint.
-  std::vector<MinBftVcEntry> vc_archive_;
+  /// Every accepted command not yet covered by a stable checkpoint.
+  VcArchive<MinBftVcEntry> vc_archive_;
   std::map<ViewNum, std::map<ProcessId, VcReport>> vc_msgs_;
   std::uint64_t view_changes_ = 0;
 

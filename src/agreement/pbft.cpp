@@ -429,6 +429,7 @@ void PbftReplica::on_request(ProcessId from, Command cmd) {
     reply_to(cmd, *cached);
     return;
   }
+  if (dedup_.below_floor(cmd)) return;  // acknowledged: settled for good
   const bool fresh = pending_.emplace(cmd.key(), cmd).second;
   if (fresh) arm_request_timer(cmd);
   if (!in_view_change_ && is_primary()) {
@@ -442,9 +443,8 @@ void PbftReplica::on_request(ProcessId from, Command cmd) {
 }
 
 void PbftReplica::propose(const Command& cmd) {
-  for (const auto& [seq, slot] : slots_)
-    for (const Command& slotted : slot.cmds)
-      if (slotted.key() == cmd.key()) return;
+  // A command may only occupy one open slot per view.
+  if (!slotted_keys_.insert(cmd.key()).second) return;
 
   PrePrepare pp;
   pp.view = view_;
@@ -461,7 +461,7 @@ void PbftReplica::propose(const Command& cmd) {
   slot.digest = command_digest(cmd);
   slot.have_preprepare = true;
   slot.accepted_at = world().now();
-  vc_archive_.push_back({view_, pp.seq, cmd});
+  vc_archive_.put({view_, pp.seq, cmd});
   step(pp.seq);
 }
 
@@ -527,7 +527,7 @@ void PbftReplica::propose_batch(std::vector<Command> cmds) {
   slot.have_preprepare = true;
   slot.accepted_at = world().now();
   for (const Command& cmd : pp.cmds) {
-    vc_archive_.push_back({view_, pp.seq, cmd});
+    vc_archive_.put({view_, pp.seq, cmd});
     slotted_keys_.insert(cmd.key());
   }
   step(pp.seq);
@@ -543,15 +543,17 @@ void PbftReplica::handle_preprepare(ProcessId from, PrePrepare pp) {
     return;
   when_in_view(pp.view, [this, from, pp]() {
     if (from != primary_of(view_)) return;
-    Slot& slot = slots_[pp.seq];
+    Slot* open = open_slot(pp.seq);
+    if (open == nullptr) return;
+    Slot& slot = *open;
     if (slot.have_preprepare) return;  // first pre-prepare per slot wins
     slot.cmds = {pp.cmd};
     slot.digest = command_digest(pp.cmd);
     slot.have_preprepare = true;
     slot.accepted_at = world().now();
-    vc_archive_.push_back({view_, pp.seq, pp.cmd});
+    vc_archive_.put({view_, pp.seq, pp.cmd});
 
-    if (!dedup_.lookup(pp.cmd) &&
+    if (!dedup_.settled(pp.cmd) &&
         pending_.emplace(pp.cmd.key(), pp.cmd).second)
       arm_request_timer(pp.cmd);
 
@@ -579,18 +581,20 @@ void PbftReplica::handle_batch_preprepare(ProcessId from, BatchPrePrepare pp) {
     return;
   when_in_view(pp.view, [this, from, pp]() {
     if (from != primary_of(view_)) return;
-    Slot& slot = slots_[pp.seq];
+    Slot* open = open_slot(pp.seq);
+    if (open == nullptr) return;
+    Slot& slot = *open;
     if (slot.have_preprepare) return;  // first pre-prepare per slot wins
     slot.cmds = pp.cmds;
     slot.digest = batch_digest(pp.cmds);
     slot.have_preprepare = true;
     slot.accepted_at = world().now();
     for (const Command& cmd : pp.cmds) {
-      vc_archive_.push_back({view_, pp.seq, cmd});
+      vc_archive_.put({view_, pp.seq, cmd});
       if (batched()) slotted_keys_.insert(cmd.key());
       // Guard every batch member with a timer, as the singleton path does
       // for its one command.
-      if (!dedup_.lookup(cmd) && pending_.emplace(cmd.key(), cmd).second)
+      if (!dedup_.settled(cmd) && pending_.emplace(cmd.key(), cmd).second)
         arm_request_timer(cmd);
     }
 
@@ -617,7 +621,9 @@ void PbftReplica::handle_prepare(ProcessId from, Prepare v) {
     return;
   when_in_view(v.view, [this, from, v]() {
     if (from == primary_of(view_)) return;  // the primary never prepares
-    slots_[v.seq].prepares[v.digest].insert(from);
+    Slot* slot = open_slot(v.seq);
+    if (slot == nullptr) return;
+    slot->prepares[v.digest].insert(from);
     step(v.seq);
   });
 }
@@ -629,7 +635,9 @@ void PbftReplica::handle_commit(ProcessId from, Commit v) {
           v.sig, vote_binding("pbft-commit", v.view, v.seq, v.digest)))
     return;
   when_in_view(v.view, [this, from, v]() {
-    slots_[v.seq].commits[v.digest].insert(from);
+    Slot* slot = open_slot(v.seq);
+    if (slot == nullptr) return;
+    slot->commits[v.digest].insert(from);
     step(v.seq);
   });
 }
@@ -641,6 +649,14 @@ void PbftReplica::when_in_view(ViewNum view, std::function<void()> action) {
     return;
   }
   view_waiting_[view].push_back(std::move(action));
+}
+
+PbftReplica::Slot* PbftReplica::open_slot(SeqNum seq) {
+  if (seq < next_exec_seq_) {
+    auto it = slots_.find(seq);
+    return it == slots_.end() ? nullptr : &it->second;
+  }
+  return &slots_[seq];
 }
 
 void PbftReplica::step(SeqNum seq) {
@@ -682,12 +698,12 @@ void PbftReplica::try_execute() {
     // transfer (see MinBftReplica::try_execute). A batch executes only
     // once every member is settled or executable.
     if (log_.size() < exec_floor_) {
-      const bool all_deduped =
+      const bool all_settled =
           std::all_of(slot.cmds.begin(), slot.cmds.end(),
                       [this](const Command& cmd) {
-                        return dedup_.lookup(cmd).has_value();
+                        return dedup_.settled(cmd);
                       });
-      if (!all_deduped) break;
+      if (!all_settled) break;
     }
     // Advance before executing: execute() can persist() at a checkpoint
     // boundary, and the durable image must record the post-execution
@@ -695,6 +711,13 @@ void PbftReplica::try_execute() {
     const SeqNum seq = next_exec_seq_;
     ++next_exec_seq_;
     execute(slot, seq);
+  }
+  // Slots behind the cursor are done; open_slot refuses their sequence
+  // numbers from now on.
+  while (!slots_.empty() && slots_.begin()->first < next_exec_seq_) {
+    for (const Command& cmd : slots_.begin()->second.cmds)
+      slotted_keys_.erase(cmd.key());
+    slots_.erase(slots_.begin());
   }
   // Executions free pipeline room; admit whatever is queued behind it.
   if (batched()) maybe_flush_batch();
@@ -722,10 +745,11 @@ void PbftReplica::execute(Slot& slot, SeqNum seq) {
       // Exactly-once: re-proposed after a view change, or a retry that
       // landed in a later batch than its first commit.
       result = *cached;
+    } else if (dedup_.below_floor(cmd)) {
+      continue;  // its client acknowledged it: neither run nor answered
     } else {
       result = machine_->apply(cmd.op);
-      dedup_.record(cmd, result);
-      log_.append({cmd, result});
+      record_execution(cmd, result);
       const Time latency = world().now() - slot.accepted_at;
       world().metrics().histogram("smr.commit_latency_ticks").record(latency);
       world().tracer().complete("commit", "smr", id(), slot.accepted_at,
@@ -736,6 +760,14 @@ void PbftReplica::execute(Slot& slot, SeqNum seq) {
     pending_.erase(cmd.key());
     reply_to(cmd, result);
   }
+}
+
+void PbftReplica::record_execution(const Command& cmd, const Bytes& result) {
+  dedup_.record(cmd, result);
+  log_.append({cmd, result});
+  const auto first = pending_.lower_bound({cmd.client, 0});
+  pending_.erase(first,
+                 pending_.lower_bound({cmd.client, dedup_.floor(cmd.client)}));
 }
 
 void PbftReplica::reply_to(const Command& cmd, const Bytes& result) {
@@ -795,12 +827,8 @@ void PbftReplica::prune_stable() {
   const std::uint64_t upto =
       std::min<std::uint64_t>(stable_checkpoint_, log_.size());
   if (upto <= log_.base()) return;
-  std::set<std::pair<ProcessId, std::uint64_t>> settled;
   for (std::uint64_t k = log_.base(); k < upto; ++k)
-    settled.insert(log_.at(k).command.key());
-  std::erase_if(vc_archive_, [&](const PbftVcEntry& e) {
-    return settled.contains(e.cmd.key());
-  });
+    vc_archive_.erase(log_.at(k).command.key());
   log_.prune_to(upto);
 }
 
@@ -832,7 +860,7 @@ void PbftReplica::start_view_change(ViewNum target) {
   ViewChange vc;
   vc.target = target;
   vc.stable = stable_checkpoint_;
-  vc.entries = vc_archive_;
+  vc.entries = vc_archive_.entries();
   for (const auto& [key, cmd] : pending_) vc.pending.push_back(cmd);
   vc.sig = signer().sign(
       view_change_binding(target, vc.stable, vc.entries, vc.pending));
@@ -960,7 +988,7 @@ void PbftReplica::maybe_assume_primacy(ViewNum target) {
     // depend on the primary's own execution history — divergent logs
     // (found by the byte-mutation fuzz sweep). Exactly-once is preserved
     // by dedup at execution time.
-    if (!dedup_.lookup(cmd) && pending_.emplace(cmd.key(), cmd).second)
+    if (!dedup_.settled(cmd) && pending_.emplace(cmd.key(), cmd).second)
       arm_request_timer(cmd);
     if (batched())
       enqueue_batch(cmd);
@@ -1154,20 +1182,10 @@ void PbftReplica::install_bundle(const StateReply& b) {
     log_ = b.core.log;
     machine_->restore(b.core.machine_snapshot);
     dedup_ = b.core.dedup;
-    if (batched()) {
-      // Witness for the batch-atomicity checker: these commands' effects
-      // arrived via state transfer, so no "smr-exec" output will ever
-      // record them. Batched mode only — unbatched transcripts (and their
-      // golden fingerprints) must not change.
-      serde::Writer iw;
-      const auto installed = dedup_.keys();
-      iw.uvarint(installed.size());
-      for (const auto& [client, rid] : installed) {
-        iw.uvarint(client);
-        iw.uvarint(rid);
-      }
-      output("smr-install", iw.take());
-    }
+    // Witness for the batch-atomicity checker (see
+    // MinBftReplica::install_bundle); batched mode only.
+    if (batched())
+      output("smr-install", serde::encode(InstallWitness::of(dedup_)));
   }
   if (b.stable > stable_checkpoint_) stable_checkpoint_ = b.stable;
   exec_floor_ = std::max(exec_floor_, b.exec_floor);
@@ -1175,6 +1193,7 @@ void PbftReplica::install_bundle(const StateReply& b) {
     view_ = b.view;
     in_view_change_ = false;
     slots_.clear();
+    slotted_keys_.clear();
     next_propose_seq_ = 1;
     next_exec_seq_ = b.next_exec;
   } else if (b.view == view_ && !in_view_change_) {
@@ -1205,7 +1224,7 @@ void PbftReplica::install_bundle(const StateReply& b) {
   // are settled by the bundle; drop them, or their timers would hunt for a
   // view change nothing needs, forever.
   for (auto it = pending_.begin(); it != pending_.end();)
-    it = dedup_.lookup(it->second) ? pending_.erase(it) : ++it;
+    it = dedup_.settled(it->second) ? pending_.erase(it) : ++it;
   if (!needs_state() && state_probe_) {
     state_probe_ = false;
     const Time dur = world().now() - state_sync_started_at_;

@@ -49,6 +49,8 @@ struct PbftVcEntry {
   SeqNum seq = 0;
   Command cmd;
 
+  std::pair<ViewNum, SeqNum> order() const { return {view, seq}; }
+
   void encode(serde::Writer& w) const;
   static PbftVcEntry decode(serde::Reader& r);
 };
@@ -98,8 +100,12 @@ class PbftReplica final : public sim::Process {
   std::uint64_t view_changes_seen() const { return view_changes_; }
   /// Times this replica came back from a crash.
   std::uint64_t recoveries() const { return recoveries_; }
-  /// Slots retained for view-change reports (pruned below stable).
+  /// Commands retained for view-change reports (pruned below stable).
   std::size_t vc_archive_size() const { return vc_archive_.size(); }
+  /// Slots of the current view not yet behind the execution cursor.
+  std::size_t open_slots() const { return slots_.size(); }
+  /// The reply cache: per-client floors and reply windows.
+  const ExecutionDeduper& reply_cache() const { return dedup_; }
 
   /// Builds a signed PRE-PREPARE wire message outside any replica —
   /// exposed so adversarial tests can drive Byzantine primaries by hand.
@@ -182,9 +188,18 @@ class PbftReplica final : public sim::Process {
                ? static_cast<std::size_t>(next_propose_seq_ - next_exec_seq_)
                : 0;
   }
+  /// The slot for a vote or pre-prepare, created on first sight; nullptr
+  /// for sequence numbers behind the execution cursor, whose slots are
+  /// executed and dropped (late messages must not re-open them).
+  Slot* open_slot(SeqNum seq);
   void step(SeqNum seq);
+  /// Executes every committed slot at the cursor, then drops the slots the
+  /// cursor has passed (never inside execute(), which holds a Slot&).
   void try_execute();
   void execute(Slot& slot, SeqNum seq);
+  /// Reply cache, floor, log, and the pending requests the floor settled
+  /// (see MinBftReplica::record_execution).
+  void record_execution(const Command& cmd, const Bytes& result);
   void reply_to(const Command& cmd, const Bytes& result);
   void maybe_checkpoint();
 
@@ -240,8 +255,8 @@ class PbftReplica final : public sim::Process {
     std::vector<Command> pending;
     std::uint64_t stable = 0;  // reporter's stable checkpoint
   };
-  /// Every accepted slot not yet covered by a stable checkpoint.
-  std::vector<PbftVcEntry> vc_archive_;
+  /// Every accepted command not yet covered by a stable checkpoint.
+  VcArchive<PbftVcEntry> vc_archive_;
   std::map<ViewNum, std::map<ProcessId, VcReport>> vc_msgs_;
   std::map<ViewNum, std::vector<std::function<void()>>> view_waiting_;
   std::uint64_t view_changes_ = 0;

@@ -10,6 +10,7 @@ void Command::encode(serde::Writer& w) const {
   w.uvarint(client);
   w.uvarint(request_id);
   w.bytes(op);
+  w.uvarint(acked);
 }
 
 Command Command::decode(serde::Reader& r) {
@@ -17,6 +18,7 @@ Command Command::decode(serde::Reader& r) {
   c.client = serde::read<ProcessId>(r);
   c.request_id = r.uvarint();
   c.op = r.bytes();
+  c.acked = r.uvarint();
   return c;
 }
 
@@ -147,21 +149,64 @@ std::optional<std::string> check_execution_consistency(
 std::optional<Bytes> ExecutionDeduper::lookup(const Command& cmd) const {
   auto it = clients_.find(cmd.client);
   if (it == clients_.end()) return std::nullopt;
-  auto rt = it->second.find(cmd.request_id);
-  if (rt == it->second.end()) return std::nullopt;
+  auto rt = it->second.replies.find(cmd.request_id);
+  if (rt == it->second.replies.end()) return std::nullopt;
   return rt->second;
 }
 
+bool ExecutionDeduper::below_floor(const Command& cmd) const {
+  return cmd.request_id < floor(cmd.client);
+}
+
+bool ExecutionDeduper::settled(const Command& cmd) const {
+  auto it = clients_.find(cmd.client);
+  if (it == clients_.end()) return false;
+  return cmd.request_id < it->second.floor ||
+         it->second.replies.contains(cmd.request_id);
+}
+
 void ExecutionDeduper::record(const Command& cmd, const Bytes& result) {
-  clients_[cmd.client].emplace(cmd.request_id, result);
+  Window& win = clients_[cmd.client];
+  win.replies.emplace(cmd.request_id, result);
+  // min() keeps the command's own reply even under a forged ack; the
+  // floor only ever rises.
+  const std::uint64_t ack = std::min(cmd.acked, cmd.request_id);
+  if (ack <= win.floor) return;
+  win.floor = ack;
+  win.replies.erase(win.replies.begin(), win.replies.lower_bound(ack));
+}
+
+std::uint64_t ExecutionDeduper::floor(ProcessId client) const {
+  auto it = clients_.find(client);
+  return it == clients_.end() ? 0 : it->second.floor;
 }
 
 std::vector<std::pair<ProcessId, std::uint64_t>> ExecutionDeduper::keys()
     const {
   std::vector<std::pair<ProcessId, std::uint64_t>> out;
-  for (const auto& [client, replies] : clients_)
-    for (const auto& [rid, result] : replies) out.emplace_back(client, rid);
+  for (const auto& [client, win] : clients_)
+    for (const auto& [rid, result] : win.replies) out.emplace_back(client, rid);
   return out;
+}
+
+std::vector<std::pair<ProcessId, std::uint64_t>> ExecutionDeduper::floors()
+    const {
+  std::vector<std::pair<ProcessId, std::uint64_t>> out;
+  for (const auto& [client, win] : clients_)
+    if (win.floor != 0) out.emplace_back(client, win.floor);
+  return out;
+}
+
+void ExecutionDeduper::Window::encode(serde::Writer& w) const {
+  w.uvarint(floor);
+  serde::write(w, replies);
+}
+
+ExecutionDeduper::Window ExecutionDeduper::Window::decode(serde::Reader& r) {
+  Window win;
+  win.floor = r.uvarint();
+  win.replies = serde::read<std::map<std::uint64_t, Bytes>>(r);
+  return win;
 }
 
 void ExecutionDeduper::encode(serde::Writer& w) const {
@@ -170,9 +215,25 @@ void ExecutionDeduper::encode(serde::Writer& w) const {
 
 ExecutionDeduper ExecutionDeduper::decode(serde::Reader& r) {
   ExecutionDeduper d;
-  d.clients_ =
-      serde::read<std::map<ProcessId, std::map<std::uint64_t, Bytes>>>(r);
+  d.clients_ = serde::read<std::map<ProcessId, Window>>(r);
   return d;
+}
+
+InstallWitness InstallWitness::of(const ExecutionDeduper& dedup) {
+  return {dedup.keys(), dedup.floors()};
+}
+
+void InstallWitness::encode(serde::Writer& w) const {
+  serde::write(w, keys);
+  serde::write(w, floors);
+}
+
+InstallWitness InstallWitness::decode(serde::Reader& r) {
+  InstallWitness iw;
+  iw.keys = serde::read<std::vector<std::pair<ProcessId, std::uint64_t>>>(r);
+  iw.floors =
+      serde::read<std::vector<std::pair<ProcessId, std::uint64_t>>>(r);
+  return iw;
 }
 
 void StateBundle::encode(serde::Writer& w) const {

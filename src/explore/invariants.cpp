@@ -178,17 +178,27 @@ Invariant batch_atomicity() {
           const bool restarted =
               ctx.world != nullptr && ctx.world->incarnation(id) > 0;
           std::set<Key> executed;
+          // Per-client reply-cache floors, replayed from the acks of the
+          // executed commands (and installed by state transfer): the
+          // replica skips a command below its client's floor.
+          std::map<ProcessId, std::uint64_t> floors;
+          auto settled = [&](const Key& k) {
+            auto f = floors.find(k.first);
+            return executed.count(k) > 0 ||
+                   (f != floors.end() && k.second < f->second);
+          };
           std::vector<Key> open;  // the open batch's members, in order
           std::size_t open_idx = 0;
           std::uint64_t open_view = 0, open_ctr = 0;
           bool in_batch = false;
           // A batch member missing from the exec stream is legal only if
           // some earlier batch already executed it (dedup of a client
-          // retry); anything else is a split batch.
+          // retry) or its client acknowledged it; anything else is a split
+          // batch.
           auto close_open = [&]() -> std::optional<std::string> {
             if (restarted) return std::nullopt;
             for (; open_idx < open.size(); ++open_idx) {
-              if (executed.count(open[open_idx])) continue;
+              if (settled(open[open_idx])) continue;
               std::ostringstream os;
               os << "replica " << id << ": batch (view=" << open_view
                  << ", counter=" << open_ctr << ") member client="
@@ -226,16 +236,13 @@ Invariant batch_atomicity() {
               }
             } else if (ev.tag == "smr-install") {
               // State transfer installed these commands' effects without
-              // executing them; treat them as executed from here on so
-              // later batches may legally skip them.
-              serde::Reader r(ev.payload.span());
-              const std::uint64_t count = r.uvarint();
-              for (std::uint64_t k = 0; k < count; ++k) {
-                const auto client = serde::read<ProcessId>(r);
-                const std::uint64_t rid = r.uvarint();
-                executed.emplace(client, rid);
-              }
-              r.expect_done();
+              // executing them, and these floors; treat both as settled
+              // from here on so later batches may legally skip them.
+              const auto iw = serde::decode<agreement::InstallWitness>(
+                  ev.payload.span());
+              executed.insert(iw.keys.begin(), iw.keys.end());
+              for (const auto& [client, floor] : iw.floors)
+                floors[client] = std::max(floors[client], floor);
             } else if (ev.tag == "smr-exec") {
               if (restarted) continue;
               const auto cmd =
@@ -250,8 +257,7 @@ Invariant batch_atomicity() {
               if (in_batch) {
                 // Members already satisfied by an earlier batch are
                 // skipped at execution; skip them here too.
-                while (open_idx < open.size() &&
-                       executed.count(open[open_idx]))
+                while (open_idx < open.size() && settled(open[open_idx]))
                   ++open_idx;
                 if (open_idx >= open.size() || open[open_idx] != k) {
                   std::ostringstream os;
@@ -264,6 +270,8 @@ Invariant batch_atomicity() {
                 ++open_idx;
               }
               executed.insert(k);
+              std::uint64_t& floor = floors[k.first];
+              floor = std::max(floor, std::min(cmd.acked, cmd.request_id));
             }
           }
           if (auto bad = close_open()) return bad;

@@ -48,6 +48,7 @@ void Process::set_timer(Time delay, std::function<void()> fn) {
 }
 
 void Process::output(std::string tag, Bytes payload) {
+  if (!world().simulated()) return;  // transcripts are sim-only
   world().transcript(id_).record_output(std::move(tag), std::move(payload));
 }
 
@@ -491,7 +492,7 @@ void World::deliver(ProcessId from, ProcessId to, Channel channel,
   // flight; on the real backend it is THE drop point for downed processes.
   if (to >= processes_.size() || processes_[to] == nullptr) return;
   if (crashed_[to]) return;
-  transcripts_[to].record_message(from, channel, payload);
+  if (simulated()) transcripts_[to].record_message(from, channel, payload);
   processes_[to]->dispatch(from, channel, payload.bytes());
 }
 

@@ -112,7 +112,8 @@ class Process {
                  bool include_self = false);
   /// Schedules `fn` after `delay` ticks; suppressed if crashed by then.
   void set_timer(Time delay, std::function<void()> fn);
-  /// Records a decision in the transcript (deliver/commit/...).
+  /// Records a decision in the transcript (deliver/commit/...); a no-op
+  /// off the simulator (see World::transcript).
   void output(std::string tag, Bytes payload);
 
   const crypto::Signer& signer() const { return signer_; }
@@ -329,6 +330,9 @@ class World {
   std::vector<ProcessId> correct_ids() const;
   std::size_t fault_count() const;
 
+  /// What a process received and output, in order. Recorded on the
+  /// simulator backend only: checkers, fingerprints and replay read it
+  /// there, while a real-time process would grow it without bound.
   Transcript& transcript(ProcessId id);
   const Transcript& transcript(ProcessId id) const;
 

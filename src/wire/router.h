@@ -56,13 +56,15 @@ void send(sim::World& world, ProcessId from, ProcessId to, Channel channel,
 }
 
 /// Broadcasts one typed message: encoded once, every per-link send shares
-/// the same COW buffer.
+/// the same COW buffer. A non-null `admit` restricts the recipients.
 template <WireMessage M>
 void broadcast(sim::World& world, ProcessId from, Channel channel, const M& m,
-               bool include_self = false) {
+               bool include_self = false,
+               const std::function<bool(ProcessId)>& admit = nullptr) {
   const Payload shared = Payload(encode_tagged(m));
   for (ProcessId p = 0; p < world.size(); ++p) {
     if (p == from && !include_self) continue;
+    if (admit && !admit(p)) continue;
     world.wire_stats().note_sent(channel, M::kDesc.tag, M::kDesc.name,
                                  shared.size());
     world.send_message(from, p, channel, shared);
@@ -162,7 +164,9 @@ class Router {
   }
 
   /// Admission control by sender id (e.g. "replicas only"); rejected
-  /// messages are counted as dropped_filtered before any decoding.
+  /// messages are counted as dropped_filtered before any decoding. The
+  /// filter also scopes broadcast(): peers are symmetric, so an id whose
+  /// messages this router would refuse is not sent any either.
   void set_peer_filter(std::function<bool(ProcessId)> filter) {
     filter_ = std::move(filter);
   }
@@ -177,7 +181,8 @@ class Router {
 
   template <WireMessage M>
   void broadcast(const M& m, bool include_self = false) {
-    wire::broadcast(host(), channel_, m, include_self);
+    wire::broadcast(host().world(), host().id(), channel_, m, include_self,
+                    filter_);
   }
 
   Channel channel() const { return channel_; }
