@@ -172,8 +172,8 @@ class ExecutionDeduper {
   std::map<ProcessId, Window> clients_;
 };
 
-/// The "smr-install" transcript record, emitted in batched mode when state
-/// transfer installs a bundle: the commands whose effects arrived without
+/// The "smr-install" transcript record, emitted when state transfer
+/// installs a bundle: the commands whose effects arrived without
 /// an "smr-exec" record (every cached reply) and every client floor (all
 /// requests below it are settled). The batch-atomicity checker reads both.
 struct InstallWitness {

@@ -34,7 +34,15 @@ class Payload {
                             : std::make_shared<Shared>(std::move(bytes))) {}
 
   static Payload copy_of(ByteSpan data) {
-    return Payload(Bytes(data.begin(), data.end()));
+    // Copies straight into the shared buffer: no temporary Bytes whose
+    // moved-from destructor GCC 12 at -O3 misreads as freeing a non-heap
+    // pointer (-Wfree-nonheap-object).
+    Payload p;
+    if (!data.empty()) {
+      p.data_ = std::make_shared<Shared>(Bytes{});
+      p.data_->bytes.assign(data.begin(), data.end());
+    }
+    return p;
   }
 
   const Bytes& bytes() const { return data_ ? data_->bytes : empty_bytes(); }

@@ -98,18 +98,18 @@ Invariant unidirectional_rounds();
 /// delivers the same values in the same order, laggards being prefixes).
 Invariant tagged_output_total_order(std::string tag = "srb-deliver");
 
-/// Batch atomicity over transcripts (batched SMR mode, DESIGN.md §11).
-/// Replicas emit one "smr-batch" output per executed batch — (view,
-/// counter/seq, member keys) — followed by that batch's "smr-exec"
-/// outputs. The checker walks each correct replica's transcript in order
-/// and rejects: a command key executed twice (exactly-once broken); an
-/// execution that skips ahead of or departs from the open batch's member
-/// order; a batch member never executed at all (split batch) — unless an
-/// earlier batch already executed it (client-retry dedup) or a state
-/// transfer installed it (the "smr-install" witness), the two legal
-/// absences. Across replicas, two batches with the same (view, counter)
-/// must carry identical member lists. Vacuous for unbatched runs, which
-/// emit no "smr-batch" outputs.
+/// Batch atomicity over transcripts (DESIGN.md §11). Replicas emit one
+/// "smr-batch" output per executed slot — (view, counter/seq, member
+/// keys) — followed by that batch's "smr-exec" outputs; a one-command
+/// slot is a batch of one. The checker walks each correct replica's
+/// transcript in order and rejects: a command key executed twice
+/// (exactly-once broken); an execution that skips ahead of or departs
+/// from the open batch's member order; a batch member never executed at
+/// all (split batch) — unless an earlier batch already executed it
+/// (client-retry dedup) or a state transfer installed it (the
+/// "smr-install" witness), the two legal absences. Across replicas, two
+/// batches with the same (view, counter) must carry identical member
+/// lists.
 Invariant batch_atomicity();
 
 /// Deliberately tight bound — NOT a real SMR property. Fails as soon as any

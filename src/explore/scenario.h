@@ -106,9 +106,9 @@ struct ScenarioSpec {
 
   std::uint64_t max_events = 2'000'000;
 
-  // Batched-mode replica knobs (DESIGN.md §11). The defaults keep both
-  // protocols on their original one-command-per-slot wire path bit-for-bit
-  // — batching regression tests rely on that.
+  // Replica batching knobs (DESIGN.md §11). The defaults mean one command
+  // per slot and every admitted request proposed at once; their
+  // transcripts are pinned by the batching golden fingerprints.
   /// Max requests amortized into one slot (replica Options::batch_size).
   std::uint64_t batch_size = 1;
   /// Partial-batch hold time in ticks (replica Options::batch_timeout).

@@ -98,11 +98,11 @@ ShrinkOutcome shrink_failure(const ScenarioSpec& spec,
   }
 
   // 2. Coarse dimensions before fine-grained request trimming: reset the
-  //    batching knobs toward their (unbatched) defaults — all at once
-  //    first, then per knob with halving steps — and try removing the
-  //    workload fleet wholesale while the legacy requests are still intact
-  //    enough to carry the failure alone. A failure that survives
-  //    batch_size = pipeline = 1 is not a batching bug.
+  //    batching knobs toward their defaults (one command per slot) — all
+  //    at once first, then per knob with halving steps — and try removing
+  //    the workload fleet wholesale while the legacy requests are still
+  //    intact enough to carry the failure alone. A failure that survives
+  //    batch_size = pipeline = 1 does not need multi-command batches.
   {
     auto accept = [&](ScenarioSpec candidate) {
       if (!sh.fails(candidate, out.trace)) return false;

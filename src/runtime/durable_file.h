@@ -33,7 +33,7 @@
 //
 // Writes go through at put/erase/clear granularity. Protocol persist()
 // calls are already batched into one put per decision point (see
-// MinBftReplica::persist), so the write amplification is one image per
+// ReplicaCore::persist), so the write amplification is one image per
 // durable decision — the same commit points the sim model charges.
 #pragma once
 

@@ -71,7 +71,8 @@ TEST(BatchAtomicity, AcceptsFullyExecutedBatchesInOrder) {
 }
 
 TEST(BatchAtomicity, VacuousForUnbatchedTranscripts) {
-  // Unbatched runs emit no "smr-batch" markers; only exactly-once applies.
+  // Without "smr-batch" markers (transcripts recorded before every slot
+  // carried one) only exactly-once applies.
   sim::Transcript t;
   t.record_output("smr-exec", serde::encode(cmd_of(9, 1)));
   t.record_output("smr-exec", serde::encode(cmd_of(9, 2)));
@@ -220,7 +221,7 @@ TEST(RetryDedup, MinBftRetriedRequestInSecondBatchExecutesOnce) {
     options.f = 1;
     options.replicas = {0, 1, 2};
     options.view_change_timeout = 4000;  // keep view 0 alive for the test
-    options.batch_size = 4;              // batched() on the backups
+    options.batch_size = 4;
     options.pipeline_depth = 4;
 
     class RebatchingPrimary final : public sim::Process {
@@ -237,10 +238,10 @@ TEST(RetryDedup, MinBftRetriedRequestInSecondBatchExecutesOnce) {
         s.op = KvStateMachine::put_op("k2", "second");
         // Counter 1: batch {R}. Counter 2: batch {R, S} — R again.
         broadcast(agreement::kMinBftCh,
-                  MinBftReplica::encode_batch_prepare_for_test(*usigs, id(),
+                  MinBftReplica::encode_prepare_for_test(*usigs, id(),
                                                                0, {r}));
         broadcast(agreement::kMinBftCh,
-                  MinBftReplica::encode_batch_prepare_for_test(*usigs, id(),
+                  MinBftReplica::encode_prepare_for_test(*usigs, id(),
                                                                0, {r, s}));
       }
     };
@@ -293,10 +294,10 @@ TEST(RetryDedup, PbftRetriedRequestInSecondBatchExecutesOnce) {
         s.request_id = 2;
         s.op = KvStateMachine::put_op("k2", "second");
         broadcast(agreement::kPbftCh,
-                  PbftReplica::encode_batch_preprepare_for_test(signer(), 0,
+                  PbftReplica::encode_preprepare_for_test(signer(), 0,
                                                                 1, {r}));
         broadcast(agreement::kPbftCh,
-                  PbftReplica::encode_batch_preprepare_for_test(
+                  PbftReplica::encode_preprepare_for_test(
                       signer(), 0, 2, {r, s}));
       }
     };
@@ -357,10 +358,10 @@ TEST(ReplyWindow, MinBftSkipsAGaveUpRequestReproposedAfterTheFloorMoved) {
       UsigDirectory* usigs = nullptr;
       void on_start() override {
         broadcast(agreement::kMinBftCh,
-                  MinBftReplica::encode_batch_prepare_for_test(
+                  MinBftReplica::encode_prepare_for_test(
                       *usigs, id(), 0, {acked_cmd(50, 2, 2)}));
         broadcast(agreement::kMinBftCh,
-                  MinBftReplica::encode_batch_prepare_for_test(
+                  MinBftReplica::encode_prepare_for_test(
                       *usigs, id(), 0,
                       {acked_cmd(50, 1, 1), acked_cmd(50, 3, 2)}));
       }
@@ -408,10 +409,10 @@ TEST(ReplyWindow, PbftSkipsAGaveUpRequestReproposedAfterTheFloorMoved) {
      public:
       void on_start() override {
         broadcast(agreement::kPbftCh,
-                  PbftReplica::encode_batch_preprepare_for_test(
+                  PbftReplica::encode_preprepare_for_test(
                       signer(), 0, 1, {acked_cmd(60, 2, 2)}));
         broadcast(agreement::kPbftCh,
-                  PbftReplica::encode_batch_preprepare_for_test(
+                  PbftReplica::encode_preprepare_for_test(
                       signer(), 0, 2,
                       {acked_cmd(60, 1, 1), acked_cmd(60, 3, 2)}));
       }

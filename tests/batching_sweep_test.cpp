@@ -7,8 +7,9 @@
 // Five claims, matching DESIGN.md §11:
 //
 //  1. COMPATIBILITY: with batch_size = 1 and pipeline_depth = 1 both
-//     protocols run the unbatched wire protocol bit-for-bit — the golden
-//     fingerprints below pin it (see the re-pin note at the test).
+//     protocols propose every request at once as a batch of one, and the
+//     golden fingerprints below pin that wire protocol bit-for-bit (see the
+//     re-pin note at the test).
 //  2. SAFETY+LIVENESS: with batching and pipelining on, every invariant of
 //     the standard SMR registry holds across 50-seed sweeps per protocol,
 //     under every network adversary, composed with crash+restart pairs and
@@ -22,7 +23,7 @@
 //     re-executed — byzantine-driven regression tests per protocol.
 //  5. TOOLING: batched scenarios record/replay byte-identically, produce
 //     thread-count-independent fingerprints under ParallelRunner, and
-//     shrink toward the unbatched defaults (irrelevant workload clients
+//     shrink toward the default knobs (irrelevant workload clients
 //     dropped).
 #include <gtest/gtest.h>
 
@@ -163,12 +164,15 @@ TEST(WorkloadPlan, HotKeySkewConcentratesOnHotSet) {
 
 // ---- compatibility ---------------------------------------------------------
 
-// Golden fingerprints of the unbatched wire protocol. First captured at the
-// commit immediately preceding the batching change; re-pinned once since,
-// when Command gained its `acked` field (every message carrying a command
-// grew) and replica broadcasts stopped reaching clients (client transcripts
-// lost their PREPARE/COMMIT/CHECKPOINT copies). The completed counts did
-// not move. The default knobs (batch_size = 1, pipeline_depth = 1) must
+// Golden fingerprints of the default knobs (batch_size = 1,
+// pipeline_depth = 1). First captured at the commit immediately preceding
+// the batching change; re-pinned when Command gained its `acked` field and
+// replica broadcasts stopped reaching clients; re-pinned again when the
+// unbatched wire path was retired and both protocols moved onto one
+// replica core: a one-command slot now travels as a batch of one (MinBFT's
+// UIs sign the command vector, PBFT's votes name the batch digest), every
+// executed slot emits its "smr-batch" witness, and the shared messages took
+// common tags. The completed counts did not move. The default knobs must
 // keep both protocols byte-for-byte on this wire protocol — same messages,
 // same ordering, same transcripts.
 TEST(BatchingCompat, DefaultKnobsFingerprintIdenticalToPreBatching) {
@@ -182,26 +186,26 @@ TEST(BatchingCompat, DefaultKnobsFingerprintIdenticalToPreBatching) {
       {"minbft-rd-1",
        ScenarioSpec::materialize(ProtocolKind::MinBft,
                                  AdversaryKind::RandomDelay, 1),
-       9, "613479966dc71285d26f501d6e4b3769cd19fd6caa84d7d1d9d3a29b9c317a9c"},
+       9, "0c76d1321ea405d431e0857ce0cf0b6bb4d837fc12b36b7f80a120e2cb2381bd"},
       {"pbft-rd-2",
        ScenarioSpec::materialize(ProtocolKind::Pbft,
                                  AdversaryKind::RandomDelay, 2),
-       10, "620cdf8c764ee61d2f458787175e1e2a6715626711a427eb2e356950a8fea229"},
+       10, "3b176a743ad9ed6fbbc4a69c8af66cea8637025cce9201169d96c2621a88d992"},
       {"minbft-gst-3",
        ScenarioSpec::materialize(ProtocolKind::MinBft, AdversaryKind::Gst, 3),
-       7, "cea553092f8a689fd0ba8960e6b79890701465d8781da5e5b0b668cf7fcbdeba"},
+       7, "2ca703737d474ed052dee1e61e066ebebc77284d3ee6af892369073842a15e05"},
       {"pbft-dup-4",
        ScenarioSpec::materialize(ProtocolKind::Pbft,
                                  AdversaryKind::Duplicating, 4),
-       9, "6dcc0edc6ca1d1778708aa8a0c2a0800d57a0da2523bef61237bcd36bbec24b6"},
+       9, "622bfd59eb33cae6927b6520a58ddc03ab09d4da9e418135643081bd75bf29f4"},
       {"minbft-rec-5",
        ScenarioSpec::materialize_recovery(ProtocolKind::MinBft,
                                           AdversaryKind::RandomDelay, 5),
-       10, "d34f47233ba1b2767efca12b2d30bbdf4555376e80384470cd724e124b9a68c8"},
+       10, "4258fe3e475fd0b81910ac2fa64876c631c403f0b15655ea4ddad81bf62031e2"},
       {"pbft-rec-6",
        ScenarioSpec::materialize_recovery(ProtocolKind::Pbft,
                                           AdversaryKind::RandomDelay, 6),
-       4, "0ac7af91c55566107268f67036444fb5378ceb229674cb5cc0ab05179e6571d5"},
+       4, "b92a4488c7373be6f481dada4b036d68ab6c9f91fcf5cf0438bb13552fc80ac7"},
   };
   const InvariantRegistry reg = InvariantRegistry::standard_smr();
   for (const Golden& g : goldens) {
@@ -212,13 +216,13 @@ TEST(BatchingCompat, DefaultKnobsFingerprintIdenticalToPreBatching) {
     EXPECT_EQ(unidir::to_hex(ByteSpan(out.fingerprint.data(),
                                       out.fingerprint.size())),
               g.fingerprint)
-        << g.name << ": the unbatched wire protocol changed";
+        << g.name << ": the default-knob wire protocol changed";
   }
 }
 
 TEST(BatchingCompat, BatchedKnobsActuallyChangeTheExecution) {
   // The converse guard: if the batched fingerprint ever collapses onto the
-  // unbatched one, the knobs silently stopped reaching the replicas.
+  // default knobs' one, the knobs silently stopped reaching the replicas.
   const ScenarioSpec batched = ScenarioSpec::materialize_batched(
       ProtocolKind::MinBft, AdversaryKind::RandomDelay, 5);
   ScenarioSpec plain = batched;
@@ -231,6 +235,74 @@ TEST(BatchingCompat, BatchedKnobsActuallyChangeTheExecution) {
   EXPECT_FALSE(b.violation.has_value());
   EXPECT_EQ(a.expected, b.expected);
   EXPECT_NE(a.fingerprint, b.fingerprint);
+}
+
+// ---- batch of one ----------------------------------------------------------
+//
+// With the default knobs a slot holds one command and the primary's
+// in-flight slots are unbounded: every admitted request is proposed at
+// once, in its own slot. A closed-loop cluster's throughput rests on it.
+
+void expect_each_request_in_its_own_slot(
+    sim::World& world, std::size_t n, std::size_t f,
+    const std::function<agreement::ReplicaCore&()>& spawn) {
+  std::vector<const agreement::ReplicaCore*> replicas;
+  for (std::size_t i = 0; i < n; ++i) replicas.push_back(&spawn());
+  agreement::SmrClient::Options copt;
+  for (ProcessId i = 0; i < n; ++i) copt.replicas.push_back(i);
+  copt.f = f;
+  constexpr std::size_t kRequests = 8;
+  std::vector<agreement::SmrClient*> clients;
+  for (std::size_t c = 0; c < kRequests; ++c) {
+    clients.push_back(&world.spawn<agreement::SmrClient>(copt));
+    clients.back()->submit(
+        agreement::KvStateMachine::put_op("k" + std::to_string(c), "v"));
+  }
+  std::size_t peak = 0;
+  world.start();
+  world.run_until([&] {
+    peak = std::max(peak, replicas[0]->open_slots());
+    return false;
+  });
+  EXPECT_EQ(peak, kRequests) << "the primary held back a proposal";
+  for (const agreement::SmrClient* c : clients) EXPECT_EQ(c->completed(), 1u);
+  for (const agreement::ReplicaCore* r : replicas) {
+    std::size_t batches = 0;
+    for (const sim::ObservedEvent& ev : world.transcript(r->id()).events()) {
+      if (ev.tag != "smr-batch") continue;
+      ++batches;
+      serde::Reader rd(ev.payload.span());
+      rd.uvarint();  // view
+      rd.uvarint();  // slot
+      EXPECT_EQ(rd.uvarint(), 1u) << "replica " << r->id();
+    }
+    EXPECT_EQ(batches, kRequests) << "replica " << r->id();
+  }
+}
+
+TEST(BatchOfOne, MinBftDefaultsProposeEveryRequestAtOnce) {
+  sim::World world(3, std::make_unique<sim::ImmediateAdversary>());
+  agreement::SgxUsigDirectory usigs(world.keys());
+  agreement::MinBftReplica::Options options;
+  options.f = 1;
+  options.replicas = {0, 1, 2};
+  expect_each_request_in_its_own_slot(
+      world, 3, 1, [&]() -> agreement::ReplicaCore& {
+        return world.spawn<agreement::MinBftReplica>(
+            options, usigs, std::make_unique<agreement::KvStateMachine>());
+      });
+}
+
+TEST(BatchOfOne, PbftDefaultsProposeEveryRequestAtOnce) {
+  sim::World world(4, std::make_unique<sim::ImmediateAdversary>());
+  agreement::PbftReplica::Options options;
+  options.f = 1;
+  options.replicas = {0, 1, 2, 3};
+  expect_each_request_in_its_own_slot(
+      world, 4, 1, [&]() -> agreement::ReplicaCore& {
+        return world.spawn<agreement::PbftReplica>(
+            options, std::make_unique<agreement::KvStateMachine>());
+      });
 }
 
 // ---- sweeps ----------------------------------------------------------------
@@ -332,7 +404,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, BatchedFuzzMatrix,
 // ---- amortization ----------------------------------------------------------
 
 TEST(BatchingSweep, BatchingAmortizesProtocolMessagesAndSignatures) {
-  // Same workload, batched vs unbatched: the batch path must send fewer
+  // Same workload, batches of 8 vs batches of 1: the former must send fewer
   // protocol messages (one slot certifies many requests). This is the
   // functional core of the throughput claim bench_hotpath quantifies.
   ScenarioSpec plain;

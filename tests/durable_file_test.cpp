@@ -295,10 +295,20 @@ TEST(DurableFileUsig, SealedCounterWrittenThroughNvramSurvivesPowerLoss) {
   const Bytes* sealed = store.get("usig/sealed");
   ASSERT_NE(sealed, nullptr);
   usig.load_state(*sealed);
+  // The restarted enclave writes through the reopened store; the sink set
+  // above captured the store that went out of scope.
+  usig.set_nvram([&store](const Bytes& blob) {
+    store.put("usig/sealed", blob);
+  });
   const auto ui = usig.create_ui(bytes_of("m3"));
   EXPECT_EQ(ui.counter, 3u) << "restored counter must continue, not rewind";
   EXPECT_TRUE(trusted::UsigEnclave::verify_ui(keys, usig.key(), ui,
                                               bytes_of("m3")));
+  // Sealed counter 3 reached disk: a fresh store over the directory sees it.
+  const FileDurableStore reread(dir);
+  const Bytes* on_disk = reread.get("usig/sealed");
+  ASSERT_NE(on_disk, nullptr);
+  EXPECT_EQ(serde::decode<SeqNum>(*on_disk), 3u);
 }
 
 TEST(DurableFileUsig, VolatileCounterRewindsAfterPowerLoss) {

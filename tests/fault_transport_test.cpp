@@ -22,6 +22,7 @@
 #include "agreement/pbft.h"
 #include "agreement/state_machines.h"
 #include "agreement/usig_directory.h"
+#include "replica_util.h"
 #include "runtime/fault.h"
 #include "sim/adversaries.h"
 #include "sim/world.h"
@@ -330,9 +331,7 @@ TEST(FaultPlanSweep, MinBftCompletesAndStaysConsistentUnderFaults) {
         << "seed " << seed << ": workload never completed";
 
     EXPECT_EQ(client.completed(), 6u) << "seed " << seed;
-    std::vector<std::pair<ProcessId, const agreement::ExecutionLog*>> logs;
-    for (auto* r : replicas) logs.emplace_back(r->id(), &r->execution_log());
-    const auto divergence = agreement::check_execution_consistency(logs);
+    const auto divergence = testutil::log_divergence(world, replicas);
     EXPECT_FALSE(divergence.has_value()) << "seed " << seed << ": "
                                          << *divergence;
 
@@ -373,9 +372,7 @@ TEST(FaultPlanSweep, PbftCompletesAndStaysConsistentUnderFaults) {
         << "seed " << seed << ": workload never completed";
 
     EXPECT_EQ(client.completed(), 6u) << "seed " << seed;
-    std::vector<std::pair<ProcessId, const agreement::ExecutionLog*>> logs;
-    for (auto* r : replicas) logs.emplace_back(r->id(), &r->execution_log());
-    const auto divergence = agreement::check_execution_consistency(logs);
+    const auto divergence = testutil::log_divergence(world, replicas);
     EXPECT_FALSE(divergence.has_value()) << "seed " << seed << ": "
                                          << *divergence;
   }
@@ -421,9 +418,7 @@ TEST(FaultPlanSweep, PartitionHealsAndTheClusterStillCommits) {
   for (auto* r : replicas)
     if (r->executed_count() >= 4u) ++caught_up;
   EXPECT_GE(caught_up, 2u);
-  std::vector<std::pair<ProcessId, const agreement::ExecutionLog*>> logs;
-  for (auto* r : replicas) logs.emplace_back(r->id(), &r->execution_log());
-  const auto divergence = agreement::check_execution_consistency(logs);
+  const auto divergence = testutil::log_divergence(world, replicas);
   EXPECT_FALSE(divergence.has_value()) << *divergence;
 }
 

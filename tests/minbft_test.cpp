@@ -2,6 +2,7 @@
 
 #include "agreement/minbft.h"
 #include "agreement/state_machines.h"
+#include "replica_util.h"
 #include "sim/adversaries.h"
 
 namespace unidir::agreement {
@@ -36,12 +37,7 @@ struct Cluster {
   }
 
   void expect_consistent(const char* context) {
-    std::vector<std::pair<ProcessId, const ExecutionLog*>>
-        logs;
-    for (auto* r : replicas)
-      if (world.correct(r->id()))
-        logs.emplace_back(r->id(), &r->execution_log());
-    const auto divergence = check_execution_consistency(logs);
+    const auto divergence = testutil::log_divergence(world, replicas);
     EXPECT_FALSE(divergence.has_value()) << context << ": " << *divergence;
   }
 };
@@ -214,7 +210,7 @@ TEST(MinBft, ByzantineBackupCannotForgeOrDisrupt) {
           fake.request_id = 1;
           fake.op = bytes_of("evil");
           broadcast(kMinBftCh, MinBftReplica::encode_prepare_for_test(
-                                   *usigs, id(), 0, fake));
+                                   *usigs, id(), 0, {fake}));
         });
       }
     }
@@ -266,9 +262,9 @@ TEST(MinBft, EquivocatingPrimaryCannotForkTheLog) {
         right.op = KvStateMachine::put_op("k", "right");
         // Counter 1 → replica 1 only; counter 2 → replica 2 only.
         send(1, kMinBftCh, MinBftReplica::encode_prepare_for_test(
-                               *usigs, id(), 0, left));
+                               *usigs, id(), 0, {left}));
         send(2, kMinBftCh, MinBftReplica::encode_prepare_for_test(
-                               *usigs, id(), 0, right));
+                               *usigs, id(), 0, {right}));
       }
     };
 
@@ -282,10 +278,7 @@ TEST(MinBft, EquivocatingPrimaryCannotForkTheLog) {
     world.start();
     world.run_to_quiescence();
 
-    std::vector<std::pair<ProcessId, const ExecutionLog*>>
-        logs;
-    for (auto* r : backups) logs.emplace_back(r->id(), &r->execution_log());
-    const auto divergence = check_execution_consistency(logs);
+    const auto divergence = testutil::log_divergence(world, backups);
     EXPECT_FALSE(divergence.has_value()) << *divergence << " seed " << seed;
   }
 }
@@ -341,11 +334,7 @@ TEST(MinBft, RunsUnchangedOverTrincBackedUsig) {
   world.crash(0);
   world.run_to_quiescence();
   EXPECT_EQ(client.completed(), 5u);
-  std::vector<std::pair<ProcessId, const ExecutionLog*>> logs;
-  for (auto* r : replicas)
-    if (world.correct(r->id()))
-      logs.emplace_back(r->id(), &r->execution_log());
-  EXPECT_FALSE(check_execution_consistency(logs).has_value());
+  EXPECT_FALSE(testutil::log_divergence(world, replicas).has_value());
 }
 
 TEST(MinBft, PipelinedClientCompletesAllRequestsConsistently) {
@@ -422,10 +411,7 @@ TEST(MinBft, SurvivesPartialSynchronyChaosBeforeGst) {
     world.start();
     world.run_to_quiescence();
     EXPECT_EQ(client.completed(), 5u) << "seed " << seed;
-    std::vector<std::pair<ProcessId, const ExecutionLog*>>
-        logs;
-    for (auto* r : replicas) logs.emplace_back(r->id(), &r->execution_log());
-    const auto divergence = check_execution_consistency(logs);
+    const auto divergence = testutil::log_divergence(world, replicas);
     EXPECT_FALSE(divergence.has_value()) << *divergence << " seed " << seed;
   }
 }

@@ -2,6 +2,7 @@
 
 #include "agreement/pbft.h"
 #include "agreement/state_machines.h"
+#include "replica_util.h"
 #include "sim/adversaries.h"
 
 namespace unidir::agreement {
@@ -33,12 +34,7 @@ struct Cluster {
   }
 
   void expect_consistent(const char* context) {
-    std::vector<std::pair<ProcessId, const ExecutionLog*>>
-        logs;
-    for (auto* r : replicas)
-      if (world.correct(r->id()))
-        logs.emplace_back(r->id(), &r->execution_log());
-    const auto divergence = check_execution_consistency(logs);
+    const auto divergence = testutil::log_divergence(world, replicas);
     EXPECT_FALSE(divergence.has_value()) << context << ": " << *divergence;
   }
 };
@@ -172,12 +168,12 @@ TEST(Pbft, EquivocatingPrimaryCannotCommitConflictingCommands) {
         right.client = 77;
         right.request_id = 1;  // SAME identity, conflicting content
         right.op = KvStateMachine::put_op("k", "right");
-        send(1, kPbftCh,
-             PbftReplica::encode_preprepare_for_test(signer(), 0, 1, left));
-        send(2, kPbftCh,
-             PbftReplica::encode_preprepare_for_test(signer(), 0, 1, left));
-        send(3, kPbftCh,
-             PbftReplica::encode_preprepare_for_test(signer(), 0, 1, right));
+        send(1, kPbftCh, PbftReplica::encode_preprepare_for_test(
+                             signer(), 0, 1, {left}));
+        send(2, kPbftCh, PbftReplica::encode_preprepare_for_test(
+                             signer(), 0, 1, {left}));
+        send(3, kPbftCh, PbftReplica::encode_preprepare_for_test(
+                             signer(), 0, 1, {right}));
       }
     };
 
@@ -192,10 +188,7 @@ TEST(Pbft, EquivocatingPrimaryCannotCommitConflictingCommands) {
 
     // Consistency must survive; in particular "left" and "right" must not
     // both appear at slot-1 positions of different replicas.
-    std::vector<std::pair<ProcessId, const ExecutionLog*>>
-        logs;
-    for (auto* r : backups) logs.emplace_back(r->id(), &r->execution_log());
-    const auto divergence = check_execution_consistency(logs);
+    const auto divergence = testutil::log_divergence(world, backups);
     EXPECT_FALSE(divergence.has_value()) << *divergence << " seed " << seed;
   }
 }
@@ -248,10 +241,7 @@ TEST(Pbft, SurvivesPartialSynchronyChaosBeforeGst) {
     world.start();
     world.run_to_quiescence();
     EXPECT_EQ(client.completed(), 5u) << "seed " << seed;
-    std::vector<std::pair<ProcessId, const ExecutionLog*>>
-        logs;
-    for (auto* r : replicas) logs.emplace_back(r->id(), &r->execution_log());
-    const auto divergence = check_execution_consistency(logs);
+    const auto divergence = testutil::log_divergence(world, replicas);
     EXPECT_FALSE(divergence.has_value()) << *divergence << " seed " << seed;
   }
 }

@@ -19,6 +19,7 @@
 #include "agreement/minbft.h"
 #include "agreement/pbft.h"
 #include "agreement/state_machines.h"
+#include "replica_util.h"
 #include "runtime/real_runtime.h"
 #include "runtime/sim_runtime.h"
 #include "sim/adversaries.h"
@@ -335,11 +336,7 @@ struct MinBftRecoveryCluster {
   }
 
   void expect_consistent(const char* context) {
-    std::vector<std::pair<ProcessId, const agreement::ExecutionLog*>> logs;
-    for (auto* r : replicas)
-      if (world.correct(r->id()))
-        logs.emplace_back(r->id(), &r->execution_log());
-    const auto divergence = agreement::check_execution_consistency(logs);
+    const auto divergence = testutil::log_divergence(world, replicas);
     EXPECT_FALSE(divergence.has_value()) << context << ": " << *divergence;
   }
 };
@@ -423,11 +420,7 @@ struct PbftRecoveryCluster {
   }
 
   void expect_consistent(const char* context) {
-    std::vector<std::pair<ProcessId, const agreement::ExecutionLog*>> logs;
-    for (auto* r : replicas)
-      if (world.correct(r->id()))
-        logs.emplace_back(r->id(), &r->execution_log());
-    const auto divergence = agreement::check_execution_consistency(logs);
+    const auto divergence = testutil::log_divergence(world, replicas);
     EXPECT_FALSE(divergence.has_value()) << context << ": " << *divergence;
   }
 };

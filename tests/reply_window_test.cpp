@@ -188,10 +188,10 @@ TEST(ReplyWindow, MinBftFloorArrivesWithStateTransfer) {
 /// Runs 40 pipelined requests under message duplication: duplicated
 /// proposals and votes keep arriving after their slot executed, and must
 /// not re-open it.
-template <class Replica, class Spawn>
-void expect_executed_slots_dropped(sim::World& world, std::size_t n,
-                                   std::size_t f, Spawn spawn) {
-  std::vector<Replica*> replicas;
+void expect_executed_slots_dropped(
+    sim::World& world, std::size_t n, std::size_t f,
+    const std::function<ReplicaCore&()>& spawn) {
+  std::vector<const ReplicaCore*> replicas;
   for (std::size_t i = 0; i < n; ++i) replicas.push_back(&spawn());
   SmrClient::Options copt;
   for (ProcessId i = 0; i < n; ++i) copt.replicas.push_back(i);
@@ -203,7 +203,7 @@ void expect_executed_slots_dropped(sim::World& world, std::size_t n,
   world.start();
   world.run_to_quiescence();
   ASSERT_EQ(client.completed(), 40u);
-  for (Replica* r : replicas) {
+  for (const ReplicaCore* r : replicas) {
     EXPECT_EQ(r->executed_count(), 40u);
     EXPECT_EQ(r->open_slots(), 0u) << "replica " << r->id();
   }
@@ -216,8 +216,8 @@ TEST(ReplyWindow, MinBftDropsExecutedSlotsEvenUnderDuplication) {
   MinBftReplica::Options options;
   options.f = 1;
   options.replicas = {0, 1, 2};
-  expect_executed_slots_dropped<MinBftReplica>(
-      world, 3, 1, [&]() -> MinBftReplica& {
+  expect_executed_slots_dropped(
+      world, 3, 1, [&]() -> ReplicaCore& {
         return world.spawn<MinBftReplica>(options, usigs,
                                           std::make_unique<KvStateMachine>());
       });
@@ -229,8 +229,8 @@ TEST(ReplyWindow, PbftDropsExecutedSlotsEvenUnderDuplication) {
   PbftReplica::Options options;
   options.f = 1;
   options.replicas = {0, 1, 2, 3};
-  expect_executed_slots_dropped<PbftReplica>(
-      world, 4, 1, [&]() -> PbftReplica& {
+  expect_executed_slots_dropped(
+      world, 4, 1, [&]() -> ReplicaCore& {
         return world.spawn<PbftReplica>(options,
                                         std::make_unique<KvStateMachine>());
       });
@@ -242,11 +242,10 @@ TEST(ReplyWindow, PbftDropsExecutedSlotsEvenUnderDuplication) {
 /// ever stable (checkpoints off): every view change re-proposes the whole
 /// history. Each replica's archive — its VIEW-CHANGE report — must stay at
 /// one entry per distinct command instead of one per proposal.
-template <class Replica, class Spawn>
-void expect_archive_bounded_across_view_changes(sim::World& world,
-                                                std::size_t n, std::size_t f,
-                                                Spawn spawn) {
-  std::vector<Replica*> replicas;
+void expect_archive_bounded_across_view_changes(
+    sim::World& world, std::size_t n, std::size_t f,
+    const std::function<ReplicaCore&()>& spawn) {
+  std::vector<const ReplicaCore*> replicas;
   for (std::size_t i = 0; i < n; ++i) replicas.push_back(&spawn());
   SmrClient::Options copt;
   for (ProcessId i = 0; i < n; ++i) copt.replicas.push_back(i);
@@ -265,7 +264,7 @@ void expect_archive_bounded_across_view_changes(sim::World& world,
     world.run_to_quiescence();
   }
   ASSERT_EQ(client.completed(), submitted);
-  for (Replica* r : replicas) {
+  for (const ReplicaCore* r : replicas) {
     if (!world.correct(r->id())) continue;
     EXPECT_GE(r->view(), 2u) << "replica " << r->id();
     EXPECT_LE(r->vc_archive_size(), submitted) << "replica " << r->id();
@@ -279,8 +278,8 @@ TEST(VcArchive, MinBftReportsStayBoundedAcrossRepeatedViewChanges) {
   options.f = 2;
   options.replicas = {0, 1, 2, 3, 4};
   options.checkpoint_interval = 0;
-  expect_archive_bounded_across_view_changes<MinBftReplica>(
-      world, 5, 2, [&]() -> MinBftReplica& {
+  expect_archive_bounded_across_view_changes(
+      world, 5, 2, [&]() -> ReplicaCore& {
         return world.spawn<MinBftReplica>(options, usigs,
                                           std::make_unique<KvStateMachine>());
       });
@@ -292,22 +291,22 @@ TEST(VcArchive, PbftReportsStayBoundedAcrossRepeatedViewChanges) {
   options.f = 2;
   options.replicas = {0, 1, 2, 3, 4, 5, 6};
   options.checkpoint_interval = 0;
-  expect_archive_bounded_across_view_changes<PbftReplica>(
-      world, 7, 2, [&]() -> PbftReplica& {
+  expect_archive_bounded_across_view_changes(
+      world, 7, 2, [&]() -> ReplicaCore& {
         return world.spawn<PbftReplica>(options,
                                         std::make_unique<KvStateMachine>());
       });
 }
 
 TEST(VcArchive, KeepsTheNewestEntryPerCommandInAcceptanceOrder) {
-  VcArchive<MinBftVcEntry> a;
+  VcArchive<VcEntry> a;
   const Command x = cmd_of(1, 1, 0), y = cmd_of(1, 2, 0);
   a.put({0, 5, x});
   a.put({0, 6, y});
   a.put({1, 3, x});  // re-proposed in view 1: moves behind y
   a.put({0, 9, y});  // newer than y's (0, 6): replaces it, behind x
   ASSERT_EQ(a.size(), 2u);
-  std::vector<MinBftVcEntry> e = a.entries();
+  std::vector<VcEntry> e = a.entries();
   EXPECT_EQ(e[0].cmd, x);
   EXPECT_EQ(e[0].order(), std::make_pair(ViewNum{1}, SeqNum{3}));
   EXPECT_EQ(e[1].cmd, y);

@@ -8,6 +8,7 @@
 
 #include "agreement/minbft.h"
 #include "agreement/state_machines.h"
+#include "replica_util.h"
 #include "sim/adversaries.h"
 
 namespace unidir::agreement {
@@ -99,10 +100,7 @@ TEST(Soak, MinBftStateStaysFlatOverTenThousandRequests) {
     EXPECT_LE(late[i].archive,
               kClients * kWindow + 2 * options.checkpoint_interval);
   }
-  std::vector<std::pair<ProcessId, const ExecutionLog*>> logs;
-  for (const MinBftReplica* r : replicas)
-    logs.emplace_back(r->id(), &r->execution_log());
-  EXPECT_FALSE(check_execution_consistency(logs).has_value());
+  EXPECT_FALSE(testutil::log_divergence(world, replicas).has_value());
 }
 
 }  // namespace
