@@ -267,8 +267,8 @@ void ReplicaCore::on_request(ProcessId from, Command cmd) {
     return;
   }
   if (dedup_.below_floor(cmd)) return;  // acknowledged: settled for good
-  const bool fresh = pending_.emplace(cmd.key(), cmd).second;
-  if (fresh) arm_request_timer(cmd);
+  const auto [it, fresh] = pending_.try_emplace(cmd.key(), Pending{cmd});
+  if (fresh) arm_request_deadline(it->second);
   if (!in_view_change_ && is_primary()) {
     enqueue(std::move(cmd));
     maybe_flush_batch();
@@ -287,9 +287,13 @@ void ReplicaCore::maybe_flush_batch() {
   if (batch_flushing_) return;
   if (in_view_change_ || !is_primary()) return;
   batch_flushing_ = true;
+  // A batch leaves when it is full, or at once when nothing is in flight:
+  // an idle primary never holds a request back, and a partial batch grows
+  // only while earlier slots are out. Whatever waits is flushed by the
+  // execution that frees the pipeline (try_execute), so no timer is needed.
   while (!batch_queue_.empty() && inflight_slots() < inflight_limit_ &&
          (batch_queue_.size() >= options_.batch_size ||
-          options_.batch_timeout == 0 || batch_ripe_)) {
+          inflight_slots() == 0)) {
     std::vector<Command> cmds;
     const std::size_t take =
         std::min<std::size_t>(options_.batch_size, batch_queue_.size());
@@ -302,22 +306,6 @@ void ReplicaCore::maybe_flush_batch() {
     propose(std::move(cmds));
   }
   batch_flushing_ = false;
-  if (batch_queue_.empty()) {
-    batch_ripe_ = false;
-    return;
-  }
-  // A partial batch waits for batch_timeout before going out underfull;
-  // once ripe it (and anything queued behind a full pipeline) flushes at
-  // the next opportunity.
-  if (!batch_ripe_ && !batch_timer_armed_) {
-    batch_timer_armed_ = true;
-    set_timer(options_.batch_timeout, [this] {
-      batch_timer_armed_ = false;
-      if (batch_queue_.empty()) return;
-      batch_ripe_ = true;
-      maybe_flush_batch();
-    });
-  }
 }
 
 // ---- slots and execution ------------------------------------------------------
@@ -339,8 +327,9 @@ void ReplicaCore::accept(SeqNum seq, Slot& slot, std::vector<Command> cmds) {
 }
 
 void ReplicaCore::guard(const Command& cmd) {
-  if (!dedup_.settled(cmd) && pending_.try_emplace(cmd.key(), cmd).second)
-    arm_request_timer(cmd);
+  if (dedup_.settled(cmd)) return;
+  const auto [it, fresh] = pending_.try_emplace(cmd.key(), Pending{cmd});
+  if (fresh) arm_request_deadline(it->second);
 }
 
 void ReplicaCore::when_in_view(ViewNum view, std::function<void()> action) {
@@ -500,16 +489,50 @@ void ReplicaCore::prune_stable() {
 
 // ---- view change ----------------------------------------------------------------
 
-void ReplicaCore::arm_request_timer(const Command& cmd) {
-  const auto key = cmd.key();
-  const ViewNum armed_view = view_;
-  set_timer(vc_timeout(), [this, key, armed_view] {
-    if (!pending_.contains(key)) return;  // executed meanwhile
-    if (in_view_change_) return;          // one attempt at a time
-    // Still pending after a full timeout in the same view: the primary is
-    // not making progress for us.
-    if (view_ == armed_view) start_view_change(view_ + 1);
+// The request clock: each pending request carries its own deadline, and a
+// single timer is armed at the earliest. A deadline leaves with its pending_
+// entry, so the armed timers stay bounded however many requests the replica
+// serves.
+
+void ReplicaCore::arm_request_deadline(Pending& p) {
+  p.deadline = world().now() + vc_timeout();
+  p.armed_view = view_;
+  schedule_request_clock(p.deadline);
+}
+
+void ReplicaCore::rearm_pending() {
+  for (auto& [key, p] : pending_) arm_request_deadline(p);
+}
+
+void ReplicaCore::schedule_request_clock(Time at) {
+  if (at >= request_clock_at_) return;  // the armed clock fires first
+  request_clock_at_ = at;
+  set_timer(at - world().now(), [this, at] {
+    if (at != request_clock_at_) return;  // superseded by an earlier arm
+    request_clock_at_ = kTimeMax;
+    on_request_clock();
   });
+}
+
+void ReplicaCore::on_request_clock() {
+  const Time now = world().now();
+  bool expired = false;
+  Time next = kTimeMax;
+  for (auto& [key, p] : pending_) {
+    if (p.deadline > now) {
+      next = std::min(next, p.deadline);
+      continue;
+    }
+    // Consumed whatever happens below: a deadline from an earlier view, or
+    // one that passes during a view change (one attempt at a time), waits
+    // for the next re-arm.
+    expired = expired || p.armed_view == view_;
+    p.deadline = kTimeMax;
+  }
+  if (next != kTimeMax) schedule_request_clock(next);
+  // Still pending after a full timeout in the same view: the primary is
+  // not making progress for us.
+  if (expired && !in_view_change_) start_view_change(view_ + 1);
 }
 
 void ReplicaCore::start_view_change(ViewNum target) {
@@ -532,7 +555,7 @@ void ReplicaCore::start_view_change(ViewNum target) {
   // (with its original order) plus any buffered client requests that never
   // made it into a slot.
   vc.entries = vc_archive_.entries();
-  for (const auto& [key, cmd] : pending_) vc.pending.push_back(cmd);
+  for (const auto& [key, p] : pending_) vc.pending.push_back(p.cmd);
   vc.sig = signer().sign(binding(binding_tag("vc"), vc));
   protocol_router_.broadcast(vc);
   vc_msgs_[target][id()] = VcReport{vc.entries, vc.pending, vc.stable};
@@ -561,9 +584,16 @@ void ReplicaCore::abandon_view_change() {
   world().metrics().add("smr.view_changes_abandoned");
   // Replay whatever the attempt made us buffer for the view we never left.
   replay_view(view_);
-  // Anything still unserved gets a fresh clock (and hence a fresh chance
-  // to demand a view change, now or under a later, supported attempt).
-  for (const auto& [key, cmd] : pending_) arm_request_timer(cmd);
+  // Nobody else suspected the primary, so the cluster is likely fine and
+  // this replica the one behind (a recovered replica whose pending requests
+  // were executed without it, say): ask for the state it lacks. A bundle
+  // settles those requests, and without one they would keep demanding view
+  // changes nothing supports, forever.
+  begin_state_sync();
+  // Anything still unserved gets a fresh deadline (and hence a fresh
+  // chance to demand a view change, now or under a later, supported
+  // attempt).
+  rearm_pending();
 }
 
 void ReplicaCore::handle_view_change(ProcessId from, ViewChange vc) {
@@ -693,8 +723,8 @@ void ReplicaCore::handle_new_view(ProcessId from, NewView nv) {
   if (!world().keys().verify(nv.sig, binding(binding_tag("nv"), nv))) return;
   exec_floor_ = std::max(exec_floor_, nv.executed);
   enter_view(nv.target);
-  // Pending requests restart their clocks under the new primary.
-  for (const auto& [key, cmd] : pending_) arm_request_timer(cmd);
+  // Pending requests restart their deadlines under the new primary.
+  rearm_pending();
   // Below the floor the primary's re-proposals cannot realign us (they sit
   // above its stable checkpoint); fetch the missing prefix explicitly.
   if (log_.size() < exec_floor_) begin_state_sync();
@@ -716,7 +746,6 @@ void ReplicaCore::enter_view(ViewNum v) {
   // whoever it is — re-admits them.
   batch_queue_.clear();
   queued_keys_.clear();
-  batch_ripe_ = false;
   if (deferred_primacy_ && *deferred_primacy_ <= v) deferred_primacy_.reset();
   persist();  // view entry is a durability boundary (see DESIGN.md §9)
   // Replay protocol messages that arrived for this view before we entered
@@ -765,6 +794,7 @@ void ReplicaCore::reload(sim::DurableStore& durable) {
   reset_view_window(protocol_.first_slot);
   view_waiting_.clear();
   pending_.clear();
+  request_clock_at_ = kTimeMax;  // pre-crash timers never fire
   dedup_ = {};
   log_ = {};
   stable_checkpoint_ = 0;
@@ -777,8 +807,6 @@ void ReplicaCore::reload(sim::DurableStore& durable) {
   state_attempts_ = 0;
   batch_queue_.clear();
   queued_keys_.clear();
-  batch_ripe_ = false;
-  batch_timer_armed_ = false;
   batch_flushing_ = false;
   machine_->restore(initial_snapshot_);
   if (const auto img = durable.get_value<DurableImage>(durable_key())) {
@@ -895,17 +923,17 @@ void ReplicaCore::install_bundle(const StateReply& b) {
       deferred_primacy_.reset();
     // Mirror enter_view's buffered-action replay for the adopted view.
     replay_view(view_);
-    for (const auto& [key, cmd] : pending_) arm_request_timer(cmd);
+    rearm_pending();
   }
   // Adopt the responder's stream positions: it processed those messages,
   // so their effects are inside the installed log.
   adopt_streams(b.streams);
   try_execute();
   // Requests that arrived before the install but were executed elsewhere
-  // are settled by the bundle; drop them, or their timers would hunt for a
-  // view change nothing needs, forever.
+  // are settled by the bundle; drop them, or their deadlines would hunt for
+  // a view change nothing needs, forever.
   for (auto it = pending_.begin(); it != pending_.end();)
-    it = dedup_.settled(it->second) ? pending_.erase(it) : ++it;
+    it = dedup_.settled(it->second.cmd) ? pending_.erase(it) : ++it;
   if (!needs_state() && state_probe_) {
     state_probe_ = false;
     const Time dur = world().now() - state_sync_started_at_;

@@ -65,15 +65,14 @@ class ReplicaCore : public sim::Process {
     std::size_t f = 0;
     Time view_change_timeout = 300;
     SeqNum checkpoint_interval = 16;
-    /// Max client requests amortized into one slot.
-    std::size_t batch_size = 1;
-    /// How long (ticks) a non-empty partial batch may wait for more
-    /// requests before the primary flushes it anyway. 0 = never hold.
-    Time batch_timeout = 4;
-    /// Max proposed-but-unexecuted slots the primary keeps in flight. The
-    /// defaults (batch_size = pipeline_depth = 1) mean one command per slot
-    /// and no in-flight bound (see inflight_limit_).
-    std::size_t pipeline_depth = 1;
+    /// Max client requests amortized into one slot: a cap, not a wait. A
+    /// batch leaves when this many are queued, or at once when the primary
+    /// has no slot in flight (see maybe_flush_batch).
+    std::size_t batch_size = 32;
+    /// Max proposed-but-unexecuted slots the primary keeps in flight.
+    /// batch_size = pipeline_depth = 1 means one command per slot and no
+    /// in-flight bound (see inflight_limit_).
+    std::size_t pipeline_depth = 4;
   };
 
   // -- introspection ---------------------------------------------------------
@@ -162,8 +161,8 @@ class ReplicaCore : public sim::Process {
   /// order, so a new primary can rebuild proposal order command by command
   /// even if it only ever saw parts of the history.
   void accept(SeqNum seq, Slot& slot, std::vector<Command> cmds);
-  /// Guards a command in flight under this view with a request timer, even
-  /// if its client's REQUEST never reached us directly.
+  /// Guards a command in flight under this view with a request deadline,
+  /// even if its client's REQUEST never reached us directly.
   void guard(const Command& cmd);
   /// Runs `action` now if `view` is current and stable; buffers it until
   /// enter_view(view) if the view is in the future (or being changed to);
@@ -205,8 +204,9 @@ class ReplicaCore : public sim::Process {
   void record_execution(const Command& cmd, const Bytes& result);
   void reply_to(const Command& cmd, const Bytes& result);
 
-  /// The batcher: queue admission, then the flush policy (full batch, ripe
-  /// timeout, pipeline room) that hands batches to propose().
+  /// The batcher: queue admission, then the flush rule (a full batch, or an
+  /// idle pipeline; pipeline room either way) that hands batches to
+  /// propose().
   void enqueue(Command cmd);
   void maybe_flush_batch();
 
@@ -220,7 +220,18 @@ class ReplicaCore : public sim::Process {
   void prune_stable();
 
   // view change
-  void arm_request_timer(const Command& cmd);
+  struct Pending;
+  /// Restarts a pending request's deadline: vc_timeout() from now, in this
+  /// view.
+  void arm_request_deadline(Pending& p);
+  /// Restarts every pending request's deadline (a new view, an abandoned
+  /// attempt, an adopted view).
+  void rearm_pending();
+  /// Makes the one request clock fire no later than `at`.
+  void schedule_request_clock(Time at);
+  /// The request clock: consumes every passed deadline and, if one was armed
+  /// in this view outside a view change, demands view view_ + 1.
+  void on_request_clock();
   void start_view_change(ViewNum target);
   /// Gives up an unsupported view-change attempt and rejoins the current
   /// view (replaying the messages buffered during the attempt).
@@ -271,8 +282,19 @@ class ReplicaCore : public sim::Process {
   std::map<ViewNum, std::vector<std::function<void()>>> view_waiting_;
 
   // Client-facing state. pending_ never holds a settled command: entries
-  // leave when they execute or their client's floor passes them.
-  std::map<std::pair<ProcessId, std::uint64_t>, Command> pending_;
+  // leave when they execute or their client's floor passes them, and their
+  // deadlines leave with them.
+  struct Pending {
+    Command cmd;
+    /// When this request times out; kTimeMax once consumed.
+    Time deadline = kTimeMax;
+    ViewNum armed_view = 0;  // the view its deadline was armed in
+  };
+  std::map<std::pair<ProcessId, std::uint64_t>, Pending> pending_;
+  /// When the one armed request-clock timer fires (kTimeMax: none armed).
+  /// Timers cannot be cancelled: one that fires when this names another
+  /// instant, or was already served, does nothing.
+  Time request_clock_at_ = kTimeMax;
   ExecutionDeduper dedup_;
   ExecutionLog log_;
 
@@ -283,9 +305,7 @@ class ReplicaCore : public sim::Process {
   std::deque<Command> batch_queue_;
   std::set<std::pair<ProcessId, std::uint64_t>> queued_keys_;
   std::set<std::pair<ProcessId, std::uint64_t>> slotted_keys_;
-  bool batch_ripe_ = false;         // queue head has waited batch_timeout
-  bool batch_timer_armed_ = false;
-  bool batch_flushing_ = false;     // re-entrancy guard for the flush loop
+  bool batch_flushing_ = false;  // re-entrancy guard for the flush loop
 
   // Checkpoints.
   std::uint64_t stable_checkpoint_ = 0;

@@ -63,6 +63,8 @@ class Writer {
 
   const Bytes& buffer() const { return out_; }
   Bytes take() { return std::move(out_); }
+  /// Empties the buffer but keeps its capacity, for reuse as scratch.
+  void clear() { out_.clear(); }
 
  private:
   /// Internal growth: like reserve(), but never shrinks the doubling

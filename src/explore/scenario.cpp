@@ -151,7 +151,7 @@ void apply_batched_draw(ScenarioSpec& s, std::uint64_t seed) {
   sim::Rng b(seed * 0xA24BAED4963EE407ULL + 3);
   const std::uint64_t sizes[] = {2, 4, 8, 16};
   s.batch_size = sizes[b.below(4)];
-  s.batch_timeout_ticks = b.range(0, 6);
+  (void)b.range(0, 6);  // the retired batch-hold draw; keeps later draws put
   s.replica_pipeline = b.range(2, 6);
   s.workload.clients = b.range(2, 6);
   s.workload.requests_per_client = b.range(3, 8);
@@ -219,8 +219,7 @@ std::string ScenarioSpec::describe() const {
   if (checkpoint_interval) os << " ckpt=" << checkpoint_interval;
   if (trace) os << " trace";
   if (batch_size > 1 || replica_pipeline > 1)
-    os << " batch=" << batch_size << "/t" << batch_timeout_ticks << "/p"
-       << replica_pipeline;
+    os << " batch=" << batch_size << "/p" << replica_pipeline;
   if (workload.enabled()) os << " " << workload.describe();
   if (verify_threads != 1) os << " vthreads=" << verify_threads;
   return os.str();
@@ -251,7 +250,6 @@ void ScenarioSpec::encode(serde::Writer& w) const {
   w.uvarint(checkpoint_interval);
   w.u8(trace ? 1 : 0);
   w.uvarint(batch_size);
-  w.uvarint(batch_timeout_ticks);
   w.uvarint(replica_pipeline);
   workload.encode(w);
   w.uvarint(verify_threads);
@@ -290,7 +288,6 @@ ScenarioSpec ScenarioSpec::decode(serde::Reader& r) {
   s.trace = r.u8() != 0;
   s.batch_size = r.uvarint();
   if (s.batch_size == 0) throw serde::DecodeError("batch_size must be >= 1");
-  s.batch_timeout_ticks = r.uvarint();
   s.replica_pipeline = r.uvarint();
   if (s.replica_pipeline == 0)
     throw serde::DecodeError("replica_pipeline must be >= 1");
@@ -333,23 +330,33 @@ std::unique_ptr<sim::Adversary> make_adversary(const ScenarioSpec& spec) {
 
 namespace {
 
+/// Hashes the serde encoding of (completed, final_time, every transcript)
+/// as a stream: each event's header goes through a small scratch writer
+/// and its payload straight into the hash, so no copy of the transcripts
+/// is ever built.
 crypto::Digest fingerprint_of(const sim::World& world,
                               std::uint64_t completed, Time final_time) {
-  serde::Writer w;
-  w.uvarint(completed);
-  w.uvarint(final_time);
+  crypto::Sha256 sha;
+  serde::Writer head;
+  head.uvarint(completed);
+  head.uvarint(final_time);
   for (ProcessId p = 0; p < world.size(); ++p) {
     const std::vector<sim::ObservedEvent>& evs = world.transcript(p).events();
-    w.uvarint(evs.size());
+    head.uvarint(evs.size());
     for (const sim::ObservedEvent& ev : evs) {
-      w.u8(static_cast<std::uint8_t>(ev.kind));
-      w.uvarint(ev.from);
-      w.uvarint(ev.channel);
-      w.str(ev.tag);
-      w.bytes(ev.payload);
+      const ByteSpan payload = ev.payload.span();
+      head.u8(static_cast<std::uint8_t>(ev.kind));
+      head.uvarint(ev.from);
+      head.uvarint(ev.channel);
+      head.str(ev.tag);
+      head.uvarint(payload.size());
+      sha.update(head.buffer());
+      head.clear();
+      sha.update(payload);
     }
   }
-  return crypto::Sha256::hash(w.buffer());
+  sha.update(head.buffer());
+  return sha.finish();
 }
 
 }  // namespace
@@ -406,7 +413,6 @@ RunOutcome run_scenario(const ScenarioSpec& spec,
   if (spec.checkpoint_interval != 0)
     ropt.checkpoint_interval = spec.checkpoint_interval;
   ropt.batch_size = static_cast<std::size_t>(spec.batch_size);
-  ropt.batch_timeout = spec.batch_timeout_ticks;
   ropt.pipeline_depth = static_cast<std::size_t>(spec.replica_pipeline);
   std::vector<const agreement::ReplicaCore*> replicas;
   if (spec.protocol == ProtocolKind::MinBft) {

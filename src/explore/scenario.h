@@ -106,13 +106,12 @@ struct ScenarioSpec {
 
   std::uint64_t max_events = 2'000'000;
 
-  // Replica batching knobs (DESIGN.md §11). The defaults mean one command
-  // per slot and every admitted request proposed at once; their
-  // transcripts are pinned by the batching golden fingerprints.
+  // Replica batching knobs (DESIGN.md §11). Unlike the replica's own
+  // Options defaults, these mean one command per slot and every admitted
+  // request proposed at once; their transcripts are pinned by the batching
+  // golden fingerprints.
   /// Max requests amortized into one slot (replica Options::batch_size).
   std::uint64_t batch_size = 1;
-  /// Partial-batch hold time in ticks (replica Options::batch_timeout).
-  Time batch_timeout_ticks = 4;
   /// Primary's in-flight slot window (replica Options::pipeline_depth).
   /// Distinct from `pipeline_depth` above, which is the *client's*
   /// outstanding-request window.

@@ -114,7 +114,6 @@ ShrinkOutcome shrink_failure(const ScenarioSpec& spec,
       ScenarioSpec all = out.spec;
       all.batch_size = 1;
       all.replica_pipeline = 1;
-      all.batch_timeout_ticks = 4;
       accept(std::move(all));
     }
     while (out.spec.batch_size > 1) {
@@ -127,11 +126,6 @@ ShrinkOutcome shrink_failure(const ScenarioSpec& spec,
       c.replica_pipeline =
           std::max<std::uint64_t>(1, c.replica_pipeline / 2);
       if (!accept(std::move(c))) break;
-    }
-    if (out.spec.batch_timeout_ticks != 4) {
-      ScenarioSpec c = out.spec;
-      c.batch_timeout_ticks = 4;
-      accept(std::move(c));
     }
 
     // Workload fleet: drop it wholesale if the legacy requests alone still

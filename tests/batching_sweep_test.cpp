@@ -239,9 +239,10 @@ TEST(BatchingCompat, BatchedKnobsActuallyChangeTheExecution) {
 
 // ---- batch of one ----------------------------------------------------------
 //
-// With the default knobs a slot holds one command and the primary's
-// in-flight slots are unbounded: every admitted request is proposed at
-// once, in its own slot. A closed-loop cluster's throughput rests on it.
+// With batch_size = pipeline_depth = 1 a slot holds one command and the
+// primary's in-flight slots are unbounded: every admitted request is
+// proposed at once, in its own slot. The explorer's default knobs (and the
+// goldens above) rest on it.
 
 void expect_each_request_in_its_own_slot(
     sim::World& world, std::size_t n, std::size_t f,
@@ -286,6 +287,8 @@ TEST(BatchOfOne, MinBftDefaultsProposeEveryRequestAtOnce) {
   agreement::MinBftReplica::Options options;
   options.f = 1;
   options.replicas = {0, 1, 2};
+  options.batch_size = 1;
+  options.pipeline_depth = 1;
   expect_each_request_in_its_own_slot(
       world, 3, 1, [&]() -> agreement::ReplicaCore& {
         return world.spawn<agreement::MinBftReplica>(
@@ -298,11 +301,96 @@ TEST(BatchOfOne, PbftDefaultsProposeEveryRequestAtOnce) {
   agreement::PbftReplica::Options options;
   options.f = 1;
   options.replicas = {0, 1, 2, 3};
+  options.batch_size = 1;
+  options.pipeline_depth = 1;
   expect_each_request_in_its_own_slot(
       world, 4, 1, [&]() -> agreement::ReplicaCore& {
         return world.spawn<agreement::PbftReplica>(
             options, std::make_unique<agreement::KvStateMachine>());
       });
+}
+
+// ---- the flush rule --------------------------------------------------------
+//
+// The library defaults batch: up to 32 commands per slot, 4 slots in
+// flight. A batch leaves when it is full, or at once when the primary has
+// nothing in flight; there is no hold timer.
+
+TEST(FlushRule, LibraryDefaultsBatchThirtyTwoWithFourSlotsInFlight) {
+  const agreement::ReplicaCore::Options core;
+  EXPECT_EQ(core.batch_size, 32u);
+  EXPECT_EQ(core.pipeline_depth, 4u);
+  const agreement::MinBftReplica::Options minbft;
+  EXPECT_EQ(minbft.batch_size, 32u);
+  EXPECT_EQ(minbft.pipeline_depth, 4u);
+  const agreement::PbftReplica::Options pbft;
+  EXPECT_EQ(pbft.batch_size, 32u);
+  EXPECT_EQ(pbft.pipeline_depth, 4u);
+  // The explorer keeps one command per slot: its goldens pin that.
+  const ScenarioSpec spec;
+  EXPECT_EQ(spec.batch_size, 1u);
+  EXPECT_EQ(spec.replica_pipeline, 1u);
+}
+
+/// The member counts of the primary's `smr-batch` witnesses, in slot
+/// order, after `clients` clients each submit one request at time 0 to a
+/// MinBFT n = 3 cluster on the immediate adversary, and the first client's
+/// commit latency in ticks.
+std::pair<std::vector<std::uint64_t>, Time> primary_batches(
+    std::size_t clients, std::size_t batch_size, std::size_t pipeline) {
+  sim::World world(5, std::make_unique<sim::ImmediateAdversary>());
+  agreement::SgxUsigDirectory usigs(world.keys());
+  agreement::MinBftReplica::Options options;
+  options.f = 1;
+  options.replicas = {0, 1, 2};
+  options.batch_size = batch_size;
+  options.pipeline_depth = pipeline;
+  for (int i = 0; i < 3; ++i)
+    world.spawn<agreement::MinBftReplica>(
+        options, usigs, std::make_unique<agreement::KvStateMachine>());
+  agreement::SmrClient::Options copt;
+  copt.replicas = options.replicas;
+  copt.f = 1;
+  std::vector<agreement::SmrClient*> fleet;
+  for (std::size_t c = 0; c < clients; ++c) {
+    fleet.push_back(&world.spawn<agreement::SmrClient>(copt));
+    fleet.back()->submit(
+        agreement::KvStateMachine::put_op("k" + std::to_string(c), "v"));
+  }
+  world.start();
+  world.run_to_quiescence();
+  for (const agreement::SmrClient* c : fleet) EXPECT_EQ(c->completed(), 1u);
+  std::vector<std::uint64_t> sizes;
+  for (const sim::ObservedEvent& ev : world.transcript(0).events()) {
+    if (ev.tag != "smr-batch") continue;
+    serde::Reader rd(ev.payload.span());
+    rd.uvarint();  // view
+    rd.uvarint();  // slot
+    sizes.push_back(rd.uvarint());
+  }
+  return {sizes, fleet.front()->latencies().front()};
+}
+
+TEST(FlushRule, IdlePrimarySendsALoneRequestAtOnce) {
+  // A lone request at batch 32 is proposed the moment it arrives, as a
+  // batch of one: no hold, so it commits exactly as fast as it does with
+  // one command per slot.
+  const auto [batched, batched_latency] = primary_batches(1, 32, 4);
+  const auto [single, single_latency] = primary_batches(1, 1, 1);
+  EXPECT_EQ(batched, std::vector<std::uint64_t>{1});
+  EXPECT_EQ(single, std::vector<std::uint64_t>{1});
+  EXPECT_EQ(batched_latency, single_latency);
+}
+
+TEST(FlushRule, BatchGrowsOnlyWhileSlotsAreInFlight) {
+  // 80 requests land in one tick. The first finds the primary idle and
+  // leaves alone; the rest queue behind it. Two batches fill up and leave
+  // while the pipeline has room; the last 15 wait, because slots are in
+  // flight, and leave together when the pipeline drains. (Flushing on
+  // every free pipeline slot would send 1, 1, 1, 1 first; a hold timer
+  // would send 32, 32, 16.)
+  const auto sizes = primary_batches(80, 32, 4).first;
+  EXPECT_EQ(sizes, (std::vector<std::uint64_t>{1, 32, 32, 15}));
 }
 
 // ---- sweeps ----------------------------------------------------------------
@@ -422,7 +510,6 @@ TEST(BatchingSweep, BatchingAmortizesProtocolMessagesAndSignatures) {
   ScenarioSpec batched = plain;
   batched.batch_size = 8;
   batched.replica_pipeline = 4;
-  batched.batch_timeout_ticks = 2;
 
   const InvariantRegistry reg = InvariantRegistry::standard_smr();
   const RunOutcome p = run_scenario(plain, reg);

@@ -89,6 +89,35 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RecoverySweepMatrix,
                          ::testing::Values(ProtocolKind::MinBft,
                                            ProtocolKind::Pbft));
 
+// A replica that suspects the primary alone asks for state before it
+// rejoins. These six PBFT draws commit every request, then a recovered
+// replica keeps timing out on requests its peers already executed. Each
+// lone attempt used to end in an abandon and a fresh deadline, so the run
+// churned abandoned view changes until the event cap. State transfer now
+// settles those requests, and the run quiesces.
+TEST(RecoverySweep, LoneSuspectCatchesUpAndQuiesces) {
+  struct Draw {
+    AdversaryKind adversary;
+    std::uint64_t seed;
+  };
+  const Draw draws[] = {
+      {AdversaryKind::RandomDelay, 3}, {AdversaryKind::RandomDelay, 28},
+      {AdversaryKind::RandomDelay, 48}, {AdversaryKind::RandomDelay, 56},
+      {AdversaryKind::Gst, 1},          {AdversaryKind::Gst, 39},
+  };
+  const InvariantRegistry registry = InvariantRegistry::standard_smr();
+  for (const Draw& d : draws) {
+    ScenarioSpec spec = ScenarioSpec::materialize_recovery(ProtocolKind::Pbft,
+                                                           d.adversary, d.seed);
+    spec.max_events = 100'000;
+    const RunOutcome out = run_scenario(spec, registry);
+    EXPECT_FALSE(out.violation.has_value())
+        << out.violation->describe() << "\n  scenario: " << spec.describe();
+    EXPECT_EQ(out.completed, out.expected) << spec.describe();
+    EXPECT_LT(out.events, 2'000u) << spec.describe();
+  }
+}
+
 // Builds the targeted equivocation schedule for `seed`. The recycled-counter
 // attack needs a backup with a one-slot hole exactly where the rewound
 // primary's counter stream will land, so the crash times are hand-placed

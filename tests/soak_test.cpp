@@ -4,6 +4,8 @@
 // durable image (written at every checkpoint) and reply cache seen over
 // the last 1k requests must match those seen over the 1k after the first
 // 2k, and executed slots and view-change archive entries must not pile up.
+// The replicas' timers must not pile up either: the event queue peaks as
+// high over 10^3 requests as over 10^4.
 #include <gtest/gtest.h>
 
 #include "agreement/minbft.h"
@@ -101,6 +103,50 @@ TEST(Soak, MinBftStateStaysFlatOverTenThousandRequests) {
               kClients * kWindow + 2 * options.checkpoint_interval);
   }
   EXPECT_FALSE(testutil::log_divergence(world, replicas).has_value());
+}
+
+/// The simulator's peak event-queue depth over a closed-loop MinBFT run of
+/// `requests` requests whose view-change timeout never expires. Clients do
+/// not resend, so every queued timer is a replica's.
+std::size_t peak_queue_depth(std::uint64_t requests) {
+  sim::World world(11, std::make_unique<sim::RandomDelayAdversary>(1, 4));
+  SgxUsigDirectory usigs(world.keys());
+  MinBftReplica::Options options;
+  options.f = 1;
+  options.replicas = {0, 1, 2};
+  options.view_change_timeout = Time{1} << 40;
+  for (int i = 0; i < 3; ++i)
+    world.spawn<MinBftReplica>(options, usigs,
+                               std::make_unique<KvStateMachine>());
+  SmrClient::Options copt;
+  copt.replicas = options.replicas;
+  copt.f = 1;
+  copt.max_outstanding = kWindow;
+  copt.resend_timeout = 0;
+  std::vector<SmrClient*> clients;
+  for (std::size_t c = 0; c < kClients; ++c)
+    clients.push_back(&world.spawn<SmrClient>(copt));
+  for (std::uint64_t k = 0; k < requests; ++k)
+    clients[k % kClients]->submit(
+        KvStateMachine::put_op("k" + std::to_string(k % 16), "v"));
+  world.start();
+  EXPECT_TRUE(world.run_until([&] {
+    std::uint64_t done = 0;
+    for (const SmrClient* c : clients) done += c->completed();
+    return done == requests;
+  }));
+  return world.simulator().stats().peak_pending;
+}
+
+TEST(Soak, RequestClockKeepsTimersFlatUnderAnUnexpiredTimeout) {
+  // Each replica keeps one request clock, armed at its earliest pending
+  // deadline, and a deadline leaves with its request. With one timer per
+  // request instead, none would fire before the timeout, and the queue
+  // would grow by three timers (one per replica) per request served.
+  const std::size_t small = peak_queue_depth(1'000);
+  const std::size_t large = peak_queue_depth(kRequests);
+  EXPECT_LE(large, small + small / 10) << small << " -> " << large;
+  EXPECT_LT(large, kRequests);
 }
 
 }  // namespace
