@@ -234,9 +234,8 @@ void MinBftReplica::handle_commit(ProcessId from, Commit c) {
   if (from == id()) return;
   if (c.cmds.empty()) return;
   const ProcessId prepare_author = primary_of(c.view);
-  // A COMMIT carries two attestations (the embedded PREPARE's and the
-  // sender's); check them as one batch so their hashing shares the
-  // multi-buffer lanes.
+  // A COMMIT carries two attestations: the embedded PREPARE's and the
+  // sender's. Both must hold.
   const Bytes prepare_bind = prepare_binding(c.view, c.cmds);
   const Bytes commit_bind =
       commit_binding(c.view, c.primary_ui.counter, c.cmds);
@@ -245,7 +244,6 @@ void MinBftReplica::handle_commit(ProcessId from, Commit c) {
       {from, &c.replica_ui, &commit_bind, false},
   };
   usigs_.verify_batch(vj, 2);
-  world().wire_stats().note_verify_batch(kMinBftCh, 2);
   if (!vj[0].ok || !vj[1].ok) return;
   // Double sequencing: the commit is ordered in the sender's UI stream,
   // and the embedded PREPARE in the primary's.

@@ -1,7 +1,5 @@
 #include "agreement/usig_directory.h"
 
-#include <vector>
-
 #include "common/check.h"
 
 namespace unidir::agreement {
@@ -28,28 +26,6 @@ bool SgxUsigDirectory::verify(ProcessId p,
   if (it == enclaves_.end()) return false;
   return trusted::UsigEnclave::verify_ui(keys_, it->second->key(), ui,
                                          message);
-}
-
-void SgxUsigDirectory::verify_batch(UsigVerifyJob* jobs,
-                                    std::size_t n) const {
-  std::vector<trusted::UsigEnclave::UiVerifyJob> uj;
-  std::vector<std::size_t> which;
-  uj.reserve(n);
-  which.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto it = enclaves_.find(jobs[i].p);
-    if (it == enclaves_.end()) {
-      jobs[i].ok = false;  // unknown device, as in the serial path
-      continue;
-    }
-    uj.push_back(trusted::UsigEnclave::UiVerifyJob{
-        it->second->key(), jobs[i].ui, jobs[i].message, false});
-    which.push_back(i);
-  }
-  if (which.empty()) return;
-  trusted::UsigEnclave::verify_ui_batch(keys_, uj.data(), uj.size());
-  for (std::size_t k = 0; k < which.size(); ++k)
-    jobs[which[k]].ok = uj[k].ok;
 }
 
 void SgxUsigDirectory::restart_device(ProcessId p, bool durable_state) {

@@ -51,10 +51,10 @@ class UsigDirectory {
   virtual bool verify(ProcessId p, const trusted::UniqueIdentifier& ui,
                       const Bytes& message) const = 0;
 
-  /// Verifies several UIs at once. Results equal calling verify() per job
-  /// (handlers may therefore batch the checks of a quorum message without
-  /// changing semantics); mechanisms override this when they can amortize
-  /// the underlying hashing. The default is the serial loop.
+  /// Verifies several UIs at once. Results equal calling verify() per job,
+  /// so handlers may group the checks of a quorum message without changing
+  /// semantics. The default is the serial loop; a decorator may override it
+  /// to observe the group as one unit.
   virtual void verify_batch(UsigVerifyJob* jobs, std::size_t n) const {
     for (std::size_t i = 0; i < n; ++i)
       jobs[i].ok = verify(jobs[i].p, *jobs[i].ui, *jobs[i].message);
@@ -78,9 +78,6 @@ class SgxUsigDirectory final : public UsigDirectory {
                                       const Bytes& message) override;
   bool verify(ProcessId p, const trusted::UniqueIdentifier& ui,
               const Bytes& message) const override;
-  /// Routes all jobs' hashing and attestation checks through the batched
-  /// enclave verifier (UsigEnclave::verify_ui_batch).
-  void verify_batch(UsigVerifyJob* jobs, std::size_t n) const override;
   void restart_device(ProcessId p, bool durable_state) override;
 
   /// Direct enclave access (tests that hand-craft Byzantine UIs).

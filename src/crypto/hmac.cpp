@@ -42,25 +42,4 @@ Digest hmac_sha256(ByteSpan key, ByteSpan message) {
   return HmacKey(key).mac(message);
 }
 
-void hmac_sha256_batch(HmacJob* jobs, std::size_t n) {
-  // Fixed-size chunks keep the scratch buffers on the stack; the chunk
-  // width only has to exceed the lane count for the lanes to stay full.
-  constexpr std::size_t kChunk = 16;
-  while (n > 0) {
-    const std::size_t c = n < kChunk ? n : kChunk;
-    Digest inner[kChunk];
-    ShaJob sj[kChunk];
-    for (std::size_t i = 0; i < c; ++i)
-      sj[i] = ShaJob{&jobs[i].key->inner_midstate(), jobs[i].message,
-                     &inner[i]};
-    Sha256::hash_batch(sj, c);
-    for (std::size_t i = 0; i < c; ++i)
-      sj[i] = ShaJob{&jobs[i].key->outer_midstate(),
-                     ByteSpan(inner[i].data(), inner[i].size()), jobs[i].out};
-    Sha256::hash_batch(sj, c);
-    jobs += c;
-    n -= c;
-  }
-}
-
 }  // namespace unidir::crypto

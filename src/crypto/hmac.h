@@ -22,11 +22,6 @@ class HmacKey {
   /// HMAC-SHA256(key, message) resuming from the cached midstates.
   Digest mac(ByteSpan message) const;
 
-  /// The cached block-aligned midstates, exposed so hmac_sha256_batch can
-  /// resume them through the multi-buffer SHA-256 lanes.
-  const Sha256& inner_midstate() const { return inner_; }
-  const Sha256& outer_midstate() const { return outer_; }
-
  private:
   Sha256 inner_;  // midstate after absorbing key ^ ipad
   Sha256 outer_;  // midstate after absorbing key ^ opad
@@ -35,17 +30,5 @@ class HmacKey {
 /// Computes HMAC-SHA256(key, message). One-shot; for repeated use of the
 /// same key, build an HmacKey once and call mac().
 Digest hmac_sha256(ByteSpan key, ByteSpan message);
-
-/// One MAC in a batch. Keys may repeat or differ freely between jobs.
-struct HmacJob {
-  const HmacKey* key = nullptr;
-  ByteSpan message;
-  Digest* out = nullptr;
-};
-
-/// Computes `n` independent MACs through the multi-buffer SHA-256 lanes:
-/// one interleaved pass over the inner hashes, one over the outer hashes.
-/// Bit-identical to calling key->mac(message) per job.
-void hmac_sha256_batch(HmacJob* jobs, std::size_t n);
 
 }  // namespace unidir::crypto

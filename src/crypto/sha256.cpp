@@ -103,74 +103,6 @@ void compress_portable(State& state, const std::uint8_t* data,
   state[7] = s7v;
 }
 
-/// Portable 4-wide multi-buffer compression: one block from each of four
-/// independent streams, processed in lockstep. The per-stream working
-/// variables live in lane-indexed arrays and every round updates all four
-/// lanes before advancing, so the four dependency chains interleave — the
-/// compiler keeps the fixed-trip-count lane loops unrolled (and, at -O3,
-/// vectorized across the lane dimension). Bit-identical to four serial
-/// compress_portable calls.
-void compress4_portable(State* const* states,
-                        const std::uint8_t* const* blocks) {
-  std::uint32_t w[64][4];
-  for (std::size_t i = 0; i < 16; ++i)
-    for (std::size_t l = 0; l < 4; ++l)
-      w[i][l] = load_be32(blocks[l] + 4 * i);
-  for (std::size_t i = 16; i < 64; ++i)
-    for (std::size_t l = 0; l < 4; ++l) {
-      const std::uint32_t s0 = std::rotr(w[i - 15][l], 7) ^
-                               std::rotr(w[i - 15][l], 18) ^
-                               (w[i - 15][l] >> 3);
-      const std::uint32_t s1 = std::rotr(w[i - 2][l], 17) ^
-                               std::rotr(w[i - 2][l], 19) ^
-                               (w[i - 2][l] >> 10);
-      w[i][l] = w[i - 16][l] + s0 + w[i - 7][l] + s1;
-    }
-
-  std::uint32_t a[4], b[4], c[4], d[4], e[4], f[4], g[4], h[4];
-  for (std::size_t l = 0; l < 4; ++l) {
-    const State& s = *states[l];
-    a[l] = s[0];
-    b[l] = s[1];
-    c[l] = s[2];
-    d[l] = s[3];
-    e[l] = s[4];
-    f[l] = s[5];
-    g[l] = s[6];
-    h[l] = s[7];
-  }
-  for (std::size_t i = 0; i < 64; ++i)
-    for (std::size_t l = 0; l < 4; ++l) {
-      const std::uint32_t s1 =
-          std::rotr(e[l], 6) ^ std::rotr(e[l], 11) ^ std::rotr(e[l], 25);
-      const std::uint32_t ch = (e[l] & f[l]) ^ (~e[l] & g[l]);
-      const std::uint32_t t1 = h[l] + s1 + ch + kRoundConstants[i] + w[i][l];
-      const std::uint32_t s0 =
-          std::rotr(a[l], 2) ^ std::rotr(a[l], 13) ^ std::rotr(a[l], 22);
-      const std::uint32_t maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
-      const std::uint32_t t2 = s0 + maj;
-      h[l] = g[l];
-      g[l] = f[l];
-      f[l] = e[l];
-      e[l] = d[l] + t1;
-      d[l] = c[l];
-      c[l] = b[l];
-      b[l] = a[l];
-      a[l] = t1 + t2;
-    }
-  for (std::size_t l = 0; l < 4; ++l) {
-    State& s = *states[l];
-    s[0] += a[l];
-    s[1] += b[l];
-    s[2] += c[l];
-    s[3] += d[l];
-    s[4] += e[l];
-    s[5] += f[l];
-    s[6] += g[l];
-    s[7] += h[l];
-  }
-}
-
 #ifdef UNIDIR_SHA_NI_CANDIDATE
 
 /// Four rounds: two sha256rnds2 issues consuming the low/high halves of the
@@ -265,124 +197,6 @@ __attribute__((target("sha,sse4.1,ssse3"))) void compress_shani(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
 }
 
-/// SHA-NI 2-wide multi-buffer compression: one block from each of two
-/// independent streams with every round-group statement duplicated, so the
-/// two sha256rnds2 dependency chains interleave in the out-of-order window
-/// instead of serializing on the instruction's latency. Two lanes (not
-/// four) because each needs 6 live xmm registers (2 state, 4 message
-/// schedule); a third would spill. Bit-identical to two serial calls.
-__attribute__((target("sha,sse4.1,ssse3"))) void compress_shani_x2(
-    State& state_a, const std::uint8_t* da, State& state_b,
-    const std::uint8_t* db) {
-  const __m128i kShuffle =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-  const auto* k = kRoundConstants.data();
-
-  __m128i ta = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state_a[0]));
-  __m128i a1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state_a[4]));
-  ta = _mm_shuffle_epi32(ta, 0xB1);
-  a1 = _mm_shuffle_epi32(a1, 0x1B);
-  __m128i a0 = _mm_alignr_epi8(ta, a1, 8);
-  a1 = _mm_blend_epi16(a1, ta, 0xF0);
-  __m128i tb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state_b[0]));
-  __m128i b1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state_b[4]));
-  tb = _mm_shuffle_epi32(tb, 0xB1);
-  b1 = _mm_shuffle_epi32(b1, 0x1B);
-  __m128i b0 = _mm_alignr_epi8(tb, b1, 8);
-  b1 = _mm_blend_epi16(b1, tb, 0xF0);
-
-  const __m128i abef_a = a0, cdgh_a = a1, abef_b = b0, cdgh_b = b1;
-
-  __m128i am0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(da + 0));
-  __m128i am1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(da + 16));
-  __m128i am2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(da + 32));
-  __m128i am3 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(da + 48));
-  __m128i bm0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(db + 0));
-  __m128i bm1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(db + 16));
-  __m128i bm2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(db + 32));
-  __m128i bm3 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(db + 48));
-  am0 = _mm_shuffle_epi8(am0, kShuffle);
-  am1 = _mm_shuffle_epi8(am1, kShuffle);
-  am2 = _mm_shuffle_epi8(am2, kShuffle);
-  am3 = _mm_shuffle_epi8(am3, kShuffle);
-  bm0 = _mm_shuffle_epi8(bm0, kShuffle);
-  bm1 = _mm_shuffle_epi8(bm1, kShuffle);
-  bm2 = _mm_shuffle_epi8(bm2, kShuffle);
-  bm3 = _mm_shuffle_epi8(bm3, kShuffle);
-
-  auto kvec = [&](std::size_t i) {
-    return _mm_set_epi32(
-        static_cast<int>(k[i + 3]), static_cast<int>(k[i + 2]),
-        static_cast<int>(k[i + 1]), static_cast<int>(k[i + 0]));
-  };
-  // Rounds 0-15, both streams per group.
-  shani_rounds(a0, a1, _mm_add_epi32(am0, kvec(0)));
-  shani_rounds(b0, b1, _mm_add_epi32(bm0, kvec(0)));
-  shani_rounds(a0, a1, _mm_add_epi32(am1, kvec(4)));
-  shani_rounds(b0, b1, _mm_add_epi32(bm1, kvec(4)));
-  shani_rounds(a0, a1, _mm_add_epi32(am2, kvec(8)));
-  shani_rounds(b0, b1, _mm_add_epi32(bm2, kvec(8)));
-  shani_rounds(a0, a1, _mm_add_epi32(am3, kvec(12)));
-  shani_rounds(b0, b1, _mm_add_epi32(bm3, kvec(12)));
-
-  // Rounds 16-63 with the message-schedule extension duplicated per stream.
-  for (std::size_t i = 16; i < 64; i += 16) {
-    am0 = _mm_sha256msg1_epu32(am0, am1);
-    bm0 = _mm_sha256msg1_epu32(bm0, bm1);
-    am0 = _mm_add_epi32(am0, _mm_alignr_epi8(am3, am2, 4));
-    bm0 = _mm_add_epi32(bm0, _mm_alignr_epi8(bm3, bm2, 4));
-    am0 = _mm_sha256msg2_epu32(am0, am3);
-    bm0 = _mm_sha256msg2_epu32(bm0, bm3);
-    shani_rounds(a0, a1, _mm_add_epi32(am0, kvec(i)));
-    shani_rounds(b0, b1, _mm_add_epi32(bm0, kvec(i)));
-
-    am1 = _mm_sha256msg1_epu32(am1, am2);
-    bm1 = _mm_sha256msg1_epu32(bm1, bm2);
-    am1 = _mm_add_epi32(am1, _mm_alignr_epi8(am0, am3, 4));
-    bm1 = _mm_add_epi32(bm1, _mm_alignr_epi8(bm0, bm3, 4));
-    am1 = _mm_sha256msg2_epu32(am1, am0);
-    bm1 = _mm_sha256msg2_epu32(bm1, bm0);
-    shani_rounds(a0, a1, _mm_add_epi32(am1, kvec(i + 4)));
-    shani_rounds(b0, b1, _mm_add_epi32(bm1, kvec(i + 4)));
-
-    am2 = _mm_sha256msg1_epu32(am2, am3);
-    bm2 = _mm_sha256msg1_epu32(bm2, bm3);
-    am2 = _mm_add_epi32(am2, _mm_alignr_epi8(am1, am0, 4));
-    bm2 = _mm_add_epi32(bm2, _mm_alignr_epi8(bm1, bm0, 4));
-    am2 = _mm_sha256msg2_epu32(am2, am1);
-    bm2 = _mm_sha256msg2_epu32(bm2, bm1);
-    shani_rounds(a0, a1, _mm_add_epi32(am2, kvec(i + 8)));
-    shani_rounds(b0, b1, _mm_add_epi32(bm2, kvec(i + 8)));
-
-    am3 = _mm_sha256msg1_epu32(am3, am0);
-    bm3 = _mm_sha256msg1_epu32(bm3, bm0);
-    am3 = _mm_add_epi32(am3, _mm_alignr_epi8(am2, am1, 4));
-    bm3 = _mm_add_epi32(bm3, _mm_alignr_epi8(bm2, bm1, 4));
-    am3 = _mm_sha256msg2_epu32(am3, am2);
-    bm3 = _mm_sha256msg2_epu32(bm3, bm2);
-    shani_rounds(a0, a1, _mm_add_epi32(am3, kvec(i + 12)));
-    shani_rounds(b0, b1, _mm_add_epi32(bm3, kvec(i + 12)));
-  }
-
-  a0 = _mm_add_epi32(a0, abef_a);
-  a1 = _mm_add_epi32(a1, cdgh_a);
-  b0 = _mm_add_epi32(b0, abef_b);
-  b1 = _mm_add_epi32(b1, cdgh_b);
-
-  ta = _mm_shuffle_epi32(a0, 0x1B);
-  a1 = _mm_shuffle_epi32(a1, 0xB1);
-  a0 = _mm_blend_epi16(ta, a1, 0xF0);
-  a1 = _mm_alignr_epi8(a1, ta, 8);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state_a[0]), a0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state_a[4]), a1);
-  tb = _mm_shuffle_epi32(b0, 0x1B);
-  b1 = _mm_shuffle_epi32(b1, 0xB1);
-  b0 = _mm_blend_epi16(tb, b1, 0xF0);
-  b1 = _mm_alignr_epi8(b1, tb, 8);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state_b[0]), b0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state_b[4]), b1);
-}
-
 bool sha_ni_supported() {
   __builtin_cpu_init();
   return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
@@ -402,304 +216,16 @@ CompressFn pick_compress() {
 
 const CompressFn kCompress = pick_compress();
 
-/// Multi-buffer backend: compresses `nblocks` blocks from each of `n`
-/// streams in lockstep. `blocks` is a lane-major pointer matrix — stream
-/// i's block b lives at blocks[i * nblocks + b] — so one lockstep run may
-/// cross a stream's data/padding-tail boundary. Lockstep runs let a wide
-/// backend keep the per-stream states resident in registers across the
-/// whole run instead of reloading them per block.
-using CompressManyFn = void (*)(State* const* states,
-                                const std::uint8_t* const* blocks,
-                                std::size_t n, std::size_t nblocks);
-
-void compress_many_portable(State* const* states,
-                            const std::uint8_t* const* blocks,
-                            std::size_t n, std::size_t nblocks) {
-  while (n >= 4) {
-    for (std::size_t blk = 0; blk < nblocks; ++blk) {
-      const std::uint8_t* b4[4] = {
-          blocks[0 * nblocks + blk], blocks[1 * nblocks + blk],
-          blocks[2 * nblocks + blk], blocks[3 * nblocks + blk]};
-      compress4_portable(states, b4);
-    }
-    states += 4;
-    blocks += 4 * nblocks;
-    n -= 4;
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t blk = 0; blk < nblocks; ++blk)
-      compress_portable(*states[i], blocks[i * nblocks + blk], 1);
-}
-
-#ifdef UNIDIR_SHA_NI_CANDIDATE
-void compress_many_shani(State* const* states,
-                         const std::uint8_t* const* blocks, std::size_t n,
-                         std::size_t nblocks) {
-  while (n >= 2) {
-    for (std::size_t blk = 0; blk < nblocks; ++blk)
-      compress_shani_x2(*states[0], blocks[blk], *states[1],
-                        blocks[nblocks + blk]);
-    states += 2;
-    blocks += 2 * nblocks;
-    n -= 2;
-  }
-  if (n > 0)
-    for (std::size_t blk = 0; blk < nblocks; ++blk)
-      compress_shani(*states[0], blocks[blk], 1);
-}
-
-// GCC 12's AVX-512 intrinsic headers build several intrinsics on
-// _mm512_undefined_epi32(), whose deliberately-uninitialized temporary
-// trips -Wmaybe-uninitialized once inlined here. Header-internal false
-// positive; suppressed for this section only.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-/// 16x16 transpose of 32-bit words across r[0..15], in place: the standard
-/// unpack32 / unpack64 / shuffle128 / shuffle128 network, 64 lane ops total
-/// versus ~512 scalar loads and stores for the element-wise layout change.
-__attribute__((target("avx512f"), always_inline)) inline void transpose16_zmm(
-    __m512i r[16]) {
-  __m512i t[16];
-  for (std::size_t i = 0; i < 16; i += 2) {
-    t[i] = _mm512_unpacklo_epi32(r[i], r[i + 1]);
-    t[i + 1] = _mm512_unpackhi_epi32(r[i], r[i + 1]);
-  }
-  __m512i u[16];
-  for (std::size_t i = 0; i < 16; i += 4) {
-    u[i + 0] = _mm512_unpacklo_epi64(t[i + 0], t[i + 2]);
-    u[i + 1] = _mm512_unpackhi_epi64(t[i + 0], t[i + 2]);
-    u[i + 2] = _mm512_unpacklo_epi64(t[i + 1], t[i + 3]);
-    u[i + 3] = _mm512_unpackhi_epi64(t[i + 1], t[i + 3]);
-  }
-  for (std::size_t j = 0; j < 4; ++j) {
-    t[j] = _mm512_shuffle_i32x4(u[j], u[j + 4], 0x88);
-    t[j + 4] = _mm512_shuffle_i32x4(u[j], u[j + 4], 0xdd);
-    t[j + 8] = _mm512_shuffle_i32x4(u[j + 8], u[j + 12], 0x88);
-    t[j + 12] = _mm512_shuffle_i32x4(u[j + 8], u[j + 12], 0xdd);
-  }
-  for (std::size_t j = 0; j < 4; ++j) {
-    r[j] = _mm512_shuffle_i32x4(t[j], t[j + 8], 0x88);
-    r[j + 8] = _mm512_shuffle_i32x4(t[j], t[j + 8], 0xdd);
-    r[j + 4] = _mm512_shuffle_i32x4(t[j + 4], t[j + 12], 0x88);
-    r[j + 12] = _mm512_shuffle_i32x4(t[j + 4], t[j + 12], 0xdd);
-  }
-}
-
-/// AVX-512 16-wide multi-buffer compression: word i of all 16 streams lives
-/// in one zmm lane-vector, so each SHA round is ~18 512-bit ops for 16
-/// blocks (vpternlogd fuses xor3/ch/maj, vprord replaces the rotate pairs).
-/// The per-stream states stay in registers across the whole `nblocks`
-/// lockstep run; messages are byte-swapped and transposed with vpshufb plus
-/// the in-register network above. The prepared schedule spills to a
-/// L1-resident wk[] buffer so the round loop's register pressure stays at 8
-/// states + 4 temps. ~1.9x the block rate of the SHA-NI single-stream path
-/// on wide cores — and bit-identical to it, like every backend here.
-__attribute__((target("avx512f,avx512bw"))) void compress16_avx512(
-    State* const* states, const std::uint8_t* const* blocks,
-    std::size_t nblocks) {
-  const __m512i kBswap = _mm512_broadcast_i32x4(
-      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL));
-  alignas(64) std::uint32_t sbuf[8][16];
-  for (std::size_t l = 0; l < 16; ++l) {
-    const State& s = *states[l];
-    for (std::size_t j = 0; j < 8; ++j) sbuf[j][l] = s[j];
-  }
-  __m512i a = _mm512_load_si512(sbuf[0]), b = _mm512_load_si512(sbuf[1]),
-          c = _mm512_load_si512(sbuf[2]), d = _mm512_load_si512(sbuf[3]),
-          e = _mm512_load_si512(sbuf[4]), f = _mm512_load_si512(sbuf[5]),
-          g = _mm512_load_si512(sbuf[6]), h = _mm512_load_si512(sbuf[7]);
-
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    __m512i r[16];
-    for (std::size_t l = 0; l < 16; ++l)
-      r[l] = _mm512_shuffle_epi8(
-          _mm512_loadu_si512(blocks[l * nblocks + blk]), kBswap);
-    transpose16_zmm(r);
-
-    alignas(64) std::uint32_t wk[64][16];
-    __m512i w[16];
-    for (std::size_t i = 0; i < 16; ++i) {
-      w[i] = r[i];
-      _mm512_store_si512(
-          wk[i], _mm512_add_epi32(
-                     w[i], _mm512_set1_epi32(
-                               static_cast<int>(kRoundConstants[i]))));
-    }
-    for (std::size_t i = 16; i < 64; ++i) {
-      const __m512i w15 = w[(i - 15) & 15], w2 = w[(i - 2) & 15];
-      const __m512i s0 = _mm512_ternarylogic_epi32(
-          _mm512_ror_epi32(w15, 7), _mm512_ror_epi32(w15, 18),
-          _mm512_srli_epi32(w15, 3), 0x96);
-      const __m512i s1 = _mm512_ternarylogic_epi32(
-          _mm512_ror_epi32(w2, 17), _mm512_ror_epi32(w2, 19),
-          _mm512_srli_epi32(w2, 10), 0x96);
-      const __m512i nw = _mm512_add_epi32(
-          _mm512_add_epi32(w[i & 15], s0),
-          _mm512_add_epi32(w[(i - 7) & 15], s1));
-      w[i & 15] = nw;
-      _mm512_store_si512(
-          wk[i], _mm512_add_epi32(
-                     nw, _mm512_set1_epi32(
-                             static_cast<int>(kRoundConstants[i]))));
-    }
-
-    const __m512i a0 = a, b0 = b, c0 = c, d0 = d, e0 = e, f0 = f, g0 = g,
-                  h0 = h;
-    for (std::size_t i = 0; i < 64; ++i) {
-      const __m512i wki = _mm512_load_si512(wk[i]);
-      const __m512i s1 = _mm512_ternarylogic_epi32(
-          _mm512_ror_epi32(e, 6), _mm512_ror_epi32(e, 11),
-          _mm512_ror_epi32(e, 25), 0x96);
-      const __m512i ch = _mm512_ternarylogic_epi32(e, f, g, 0xCA);
-      const __m512i t1 =
-          _mm512_add_epi32(_mm512_add_epi32(h, s1), _mm512_add_epi32(ch, wki));
-      const __m512i s0 = _mm512_ternarylogic_epi32(
-          _mm512_ror_epi32(a, 2), _mm512_ror_epi32(a, 13),
-          _mm512_ror_epi32(a, 22), 0x96);
-      const __m512i maj = _mm512_ternarylogic_epi32(a, b, c, 0xE8);
-      h = g;
-      g = f;
-      f = e;
-      e = _mm512_add_epi32(d, t1);
-      d = c;
-      c = b;
-      b = a;
-      a = _mm512_add_epi32(t1, _mm512_add_epi32(s0, maj));
-    }
-    a = _mm512_add_epi32(a, a0);
-    b = _mm512_add_epi32(b, b0);
-    c = _mm512_add_epi32(c, c0);
-    d = _mm512_add_epi32(d, d0);
-    e = _mm512_add_epi32(e, e0);
-    f = _mm512_add_epi32(f, f0);
-    g = _mm512_add_epi32(g, g0);
-    h = _mm512_add_epi32(h, h0);
-  }
-
-  _mm512_store_si512(sbuf[0], a);
-  _mm512_store_si512(sbuf[1], b);
-  _mm512_store_si512(sbuf[2], c);
-  _mm512_store_si512(sbuf[3], d);
-  _mm512_store_si512(sbuf[4], e);
-  _mm512_store_si512(sbuf[5], f);
-  _mm512_store_si512(sbuf[6], g);
-  _mm512_store_si512(sbuf[7], h);
-  for (std::size_t l = 0; l < 16; ++l) {
-    State& s = *states[l];
-    for (std::size_t j = 0; j < 8; ++j) s[j] = sbuf[j][l];
-  }
-}
-
-#pragma GCC diagnostic pop
-
-bool avx512_supported() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512bw");
-}
-#endif  // UNIDIR_SHA_NI_CANDIDATE
-
-// ---- Padding-tail assembly -------------------------------------------------
-
-/// Builds a one-block padding tail (rem < 56 message bytes): the rem
-/// trailing message bytes, 0x80, zeros, 8-byte big-endian bit length.
-using BuildTail1Fn = void (*)(std::uint8_t* tail, const std::uint8_t* src,
-                              std::size_t rem, std::uint64_t bit_len);
-
-void build_tail1_portable(std::uint8_t* tail, const std::uint8_t* src,
-                          std::size_t rem, std::uint64_t bit_len) {
-  if (rem > 0) std::memcpy(tail, src, rem);
-  tail[rem] = 0x80;
-  std::memset(tail + rem + 1, 0, 56 - (rem + 1));
-  for (int i = 0; i < 8; ++i)
-    tail[56 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-}
-
-#ifdef UNIDIR_SHA_NI_CANDIDATE
-/// One masked 64-byte store instead of memcpy + memset + a byte loop. The
-/// win is not just instruction count: compress16_avx512 reloads each tail
-/// as a full zmm, and a tail assembled by narrow scalar stores fails
-/// store-to-load forwarding at that load (~23 ns per stream measured
-/// here). A single full-width store forwards cleanly.
-__attribute__((target("avx512f,avx512bw"))) void build_tail1_avx512(
-    std::uint8_t* tail, const std::uint8_t* src, std::size_t rem,
-    std::uint64_t bit_len) {
-  // Masked-off lanes of a maskz load are fault-suppressed, so this reads
-  // exactly `rem` bytes and never touches past the message end (and is a
-  // no-op load when rem == 0).
-  const __m512i msg =
-      _mm512_maskz_loadu_epi8((__mmask64{1} << rem) - 1, src);
-  const __m512i marker =
-      _mm512_maskz_set1_epi8(__mmask64{1} << rem, static_cast<char>(0x80));
-  const __m512i len = _mm512_maskz_set1_epi64(
-      0x80, static_cast<long long>(__builtin_bswap64(bit_len)));
-  // 0xFE = a | b | c; the three operands occupy disjoint byte positions.
-  _mm512_storeu_si512(tail,
-                      _mm512_ternarylogic_epi32(msg, marker, len, 0xFE));
-}
-#endif
-
-BuildTail1Fn pick_build_tail1() {
-#ifdef UNIDIR_SHA_NI_CANDIDATE
-  if (avx512_supported()) return &build_tail1_avx512;
-#endif
-  return &build_tail1_portable;
-}
-
-const BuildTail1Fn kBuildTail1 = pick_build_tail1();
-
-struct MultiBackend {
-  CompressManyFn fn;
-  std::size_t lanes;
-};
-
-/// Narrow (sub-16-lane) backend; also the tail path under AVX-512 when
-/// fewer than 16 lanes remain live, where padding a 16-wide call with dead
-/// lanes would cost more than it saves.
-MultiBackend pick_narrow() {
-#ifdef UNIDIR_SHA_NI_CANDIDATE
-  if (sha_ni_supported()) return {&compress_many_shani, 2};
-#endif
-  return {&compress_many_portable, 4};
-}
-
-const MultiBackend kNarrow = pick_narrow();
-
-#ifdef UNIDIR_SHA_NI_CANDIDATE
-void compress_many_avx512(State* const* states,
-                          const std::uint8_t* const* blocks, std::size_t n,
-                          std::size_t nblocks) {
-  while (n >= 16) {
-    compress16_avx512(states, blocks, nblocks);
-    states += 16;
-    blocks += 16 * nblocks;
-    n -= 16;
-  }
-  if (n > 0) kNarrow.fn(states, blocks, n, nblocks);
-}
-#endif
-
-MultiBackend pick_compress_many() {
-#ifdef UNIDIR_SHA_NI_CANDIDATE
-  if (avx512_supported()) return {&compress_many_avx512, 16};
-#endif
-  return kNarrow;
-}
-
-const MultiBackend kCompressMany = pick_compress_many();
-
 }  // namespace
 
 bool Sha256::hardware_accelerated() {
   return kCompress != &compress_portable;
 }
 
-std::size_t Sha256::batch_lanes() { return kCompressMany.lanes; }
+Sha256::Sha256() : Sha256(kCompress) {}
 
-Sha256::Sha256() : state_(kInitialState), buffer_{} {}
+Sha256::Sha256(Compress compress)
+    : compress_(compress), state_(kInitialState), buffer_{} {}
 
 void Sha256::update(ByteSpan data) {
   UNIDIR_CHECK_MSG(!finished_, "Sha256 reused after finish()");
@@ -712,14 +238,14 @@ void Sha256::update(ByteSpan data) {
     buffered_ += take;
     offset = take;
     if (buffered_ == 64) {
-      kCompress(state_, buffer_.data(), 1);
+      compress_(state_, buffer_.data(), 1);
       buffered_ = 0;
     }
   }
   // Multi-block fast path: all full blocks in one compression call.
   const std::size_t blocks = (data.size() - offset) / 64;
   if (blocks > 0) {
-    kCompress(state_, data.data() + offset, blocks);
+    compress_(state_, data.data() + offset, blocks);
     offset += blocks * 64;
   }
   if (offset < data.size()) {
@@ -739,14 +265,14 @@ Digest Sha256::finish() {
   buffer_[buffered_++] = 0x80;
   if (buffered_ > 56) {
     std::memset(buffer_.data() + buffered_, 0, 64 - buffered_);
-    kCompress(state_, buffer_.data(), 1);
+    compress_(state_, buffer_.data(), 1);
     buffered_ = 0;
   }
   std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
   for (int i = 0; i < 8; ++i)
     buffer_[56 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  kCompress(state_, buffer_.data(), 1);
+  compress_(state_, buffer_.data(), 1);
   buffered_ = 0;
 
   Digest out;
@@ -760,132 +286,10 @@ Digest Sha256::hash(ByteSpan data) {
   return h.finish();
 }
 
-void Sha256::hash_batch(ShaJob* jobs, std::size_t n) {
-  // Each lane walks one stream: its full data blocks first, then a
-  // materialized padding tail (1 or 2 blocks, laid out exactly as finish()
-  // would drive them). The scheduler feeds the live lanes to the
-  // multi-buffer backend in lockstep runs — as many blocks as every live
-  // lane still has, crossing the data/tail seam via the block-pointer
-  // matrix — so a wide backend keeps the states in registers across the
-  // run (a short stream's entire hash is then ONE backend call). A lane is
-  // refilled from the job list the moment its stream completes, so lanes
-  // stay occupied even when job lengths differ.
-  struct Lane {
-    State state;
-    const std::uint8_t* cur = nullptr;
-    std::size_t left = 0;  // blocks remaining in the current segment
-    std::uint8_t tail[128];
-    std::size_t tail_blocks = 0;
-    bool in_tail = false;
-    bool live = false;
-    Digest* out = nullptr;
-  };
-
-  constexpr std::size_t kMaxLanes = 16;
-  Lane lanes[kMaxLanes];
-  std::size_t next = 0;
-
-  auto serial = [](ShaJob& j) {
-    Sha256 h = j.resume != nullptr ? *j.resume : Sha256();
-    h.update(j.data);
-    *j.out = h.finish();
-  };
-
-  auto prepare = [](Lane& ln, const ShaJob& j) -> bool {
-    std::uint64_t total = j.data.size();
-    if (j.resume != nullptr) {
-      // Only block-aligned, unfinished midstates can enter a lane; others
-      // take the serial fallback (never the case for HMAC schedules).
-      if (j.resume->buffered_ != 0 || j.resume->finished_) return false;
-      ln.state = j.resume->state_;
-      total += j.resume->total_bytes_;
-    } else {
-      ln.state = kInitialState;
-    }
-    const std::size_t rem = j.data.size() % 64;
-    const std::uint64_t bit_len = total * 8;
-    if (rem < 56) {
-      kBuildTail1(ln.tail, j.data.data() + j.data.size() - rem, rem, bit_len);
-      ln.tail_blocks = 1;
-    } else {
-      // Two-block tail: 0x80 lands in the first block, the length in the
-      // second. Rare at our message sizes; stays scalar.
-      std::memcpy(ln.tail, j.data.data() + j.data.size() - rem, rem);
-      ln.tail[rem] = 0x80;
-      std::memset(ln.tail + rem + 1, 0, 128 - 8 - (rem + 1));
-      for (int i = 0; i < 8; ++i)
-        ln.tail[120 + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-      ln.tail_blocks = 2;
-    }
-    const std::size_t full_blocks = j.data.size() / 64;
-    if (full_blocks > 0) {
-      ln.cur = j.data.data();
-      ln.left = full_blocks;
-      ln.in_tail = false;
-    } else {
-      ln.cur = ln.tail;
-      ln.left = ln.tail_blocks;
-      ln.in_tail = true;
-    }
-    ln.out = j.out;
-    return true;
-  };
-
-  auto refill = [&](Lane& ln) {
-    while (next < n) {
-      ShaJob& j = jobs[next++];
-      if (prepare(ln, j)) {
-        ln.live = true;
-        return;
-      }
-      serial(j);
-    }
-    ln.live = false;
-  };
-
-  for (Lane& ln : lanes) refill(ln);
-
-  constexpr std::size_t kMaxRun = 16;
-  State* states[kMaxLanes];
-  const std::uint8_t* blocks[kMaxLanes * kMaxRun];
-  Lane* who[kMaxLanes];
-  while (true) {
-    // A lane's remaining work is left-in-segment plus the tail if it has
-    // not entered it yet; the run is the lockstep minimum over live lanes.
-    std::size_t m = 0;
-    std::size_t run = 0;
-    for (Lane& ln : lanes) {
-      if (!ln.live) continue;
-      const std::size_t total = ln.left + (ln.in_tail ? 0 : ln.tail_blocks);
-      if (m == 0 || total < run) run = total;
-      who[m++] = &ln;
-    }
-    if (m == 0) break;
-    if (run > kMaxRun) run = kMaxRun;
-    for (std::size_t i = 0; i < m; ++i) {
-      Lane& ln = *who[i];
-      states[i] = &ln.state;
-      for (std::size_t blk = 0; blk < run; ++blk) {
-        if (ln.left == 0) {  // cross the data -> tail seam mid-run
-          ln.cur = ln.tail;
-          ln.left = ln.tail_blocks;
-          ln.in_tail = true;
-        }
-        blocks[i * run + blk] = ln.cur;
-        ln.cur += 64;
-        --ln.left;
-      }
-    }
-    kCompressMany.fn(states, blocks, m, run);
-    for (std::size_t i = 0; i < m; ++i) {
-      Lane& ln = *who[i];
-      if (ln.left > 0 || !ln.in_tail) continue;
-      for (std::size_t word = 0; word < 8; ++word)
-        store_be32(ln.out->data() + 4 * word, ln.state[word]);
-      refill(ln);
-    }
-  }
+Digest detail::hash_portable(ByteSpan data) {
+  Sha256 h(&compress_portable);
+  h.update(data);
+  return h.finish();
 }
 
 Bytes digest_bytes(const Digest& d) {

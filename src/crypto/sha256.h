@@ -1,16 +1,14 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
 // Used as the hash underlying HMAC signatures, attestation digests, and
-// hash-chained trusted logs. The compression backends, selected once at
+// hash-chained trusted logs. Two compression backends, selected once at
 // startup by CPUID, share one incremental front end:
 //
 //  * a portable C++ path that processes runs of blocks with the working
-//    state kept in locals (the multi-block fast path),
-//  * an x86 SHA-NI path, ~5-10x faster single-stream, and
-//  * for hash_batch only, multi-buffer paths that interleave independent
-//    streams — 16-wide AVX-512, 2-wide SHA-NI, or 4-wide portable.
+//    state kept in locals (the multi-block fast path), and
+//  * an x86 SHA-NI path, ~5-10x faster.
 //
-// Digests are identical bit-for-bit on every path; which one runs never
+// Digests are identical bit-for-bit on both paths; which one runs never
 // affects simulation results, only wall-clock time.
 //
 // Sha256 objects are copyable: a copy resumes hashing from the same
@@ -29,17 +27,13 @@ inline constexpr std::size_t kSha256DigestSize = 32;
 
 using Digest = std::array<std::uint8_t, kSha256DigestSize>;
 
-class Sha256;
-
-/// One stream in a multi-buffer batch (see Sha256::hash_batch). `resume`
-/// optionally names a block-aligned midstate to continue from — the HMAC
-/// key schedules in hmac.h are exactly such midstates — and `data` is the
-/// remainder of that stream's input.
-struct ShaJob {
-  const Sha256* resume = nullptr;
-  ByteSpan data;
-  Digest* out = nullptr;
-};
+namespace detail {
+/// SHA-256 through the portable compression function, whichever backend
+/// the CPU selected for Sha256. Tests compare the two with it on hosts
+/// where the portable path never runs otherwise, and bench_hotpath times
+/// it as a calibration workload that runs the same code on every host.
+Digest hash_portable(ByteSpan data);
+}  // namespace detail
 
 /// Incremental SHA-256.
 class Sha256 {
@@ -53,21 +47,16 @@ class Sha256 {
   /// One-shot convenience.
   static Digest hash(ByteSpan data);
 
-  /// Hashes `n` independent streams with their compression calls
-  /// interleaved, so the rounds of different streams overlap in the
-  /// pipeline (multi-buffer hashing). Digests are bit-identical to hashing
-  /// each job serially; only wall-clock time changes. Jobs whose `resume`
-  /// midstate is not block-aligned fall back to the serial path.
-  static void hash_batch(ShaJob* jobs, std::size_t n);
-
-  /// Streams the selected backend interleaves per compression call
-  /// (1 would mean no multi-buffer support; bench reporting).
-  static std::size_t batch_lanes();
-
   /// True iff the CPU's SHA extensions drive compression (bench reporting).
   static bool hardware_accelerated();
 
  private:
+  using Compress = void (*)(std::array<std::uint32_t, 8>&,
+                            const std::uint8_t*, std::size_t);
+  explicit Sha256(Compress compress);
+  friend Digest detail::hash_portable(ByteSpan data);
+
+  Compress compress_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

@@ -1,10 +1,6 @@
 #include "crypto/signature.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/check.h"
-#include "crypto/verify_runner.h"
 
 namespace unidir::crypto {
 
@@ -53,111 +49,6 @@ bool KeyRegistry::verify(const Signature& sig, ByteSpan message) const {
   const Digest* mac = true_mac(sig.key, message);
   if (mac == nullptr) return false;
   return constant_time_equal(ByteSpan(mac->data(), mac->size()), sig.mac);
-}
-
-void KeyRegistry::verify_batch(VerifyJob* jobs, std::size_t n) const {
-  ++stats_.batches;
-  stats_.batch_jobs += n;
-  stats_.verifies += n;
-
-  // Phase 1 (calling thread): memo consult, unknown-key rejection, and
-  // same-message dedup within the batch. What survives is the list of MACs
-  // that actually need computing.
-  struct Miss {
-    std::size_t job;
-    MemoEntry* slot;
-    const HmacKey* schedule;
-    std::uint64_t fingerprint;
-    std::uint64_t length;
-    Digest mac;
-  };
-  struct Dup {
-    std::size_t job;
-    std::size_t miss;  // index into misses
-  };
-  std::vector<Miss> misses;
-  misses.reserve(n);
-  std::vector<Dup> dups;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    VerifyJob& j = jobs[i];
-    const KeyId key = j.sig->key;
-    auto it = keys_.find(key);
-    if (it == keys_.end()) {
-      j.ok = false;
-      continue;
-    }
-    const std::uint64_t fp = fingerprint64(j.message);
-    MemoEntry& slot =
-        memo_[(fp ^ key * 0x9e3779b97f4a7c15ULL) & (kMemoSlots - 1)];
-    if (slot.key == key && slot.fingerprint == fp &&
-        slot.length == j.message.size()) {
-      ++stats_.memo_hits;
-      j.ok = constant_time_equal(ByteSpan(slot.mac.data(), slot.mac.size()),
-                                 j.sig->mac);
-      continue;
-    }
-    bool dup = false;
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-      const Miss& prior = misses[m];
-      if (prior.fingerprint == fp && prior.length == j.message.size() &&
-          jobs[prior.job].sig->key == key) {
-        // The serial loop would have found this in the memo by now; count
-        // it the same way.
-        ++stats_.memo_hits;
-        dups.push_back(Dup{i, m});
-        dup = true;
-        break;
-      }
-    }
-    if (dup) continue;
-    misses.push_back(
-        Miss{i, &slot, &it->second.schedule, fp, j.message.size(), {}});
-  }
-
-  // Phase 2: compute the missing MACs through the multi-buffer lanes.
-  // Workers (when sharded) write only into their shard's preassigned
-  // Miss::mac slots — never the memo, never the stats — so the shard
-  // boundaries cannot influence results. Shards are a fixed size, not
-  // size/threads, so the submitted task sequence (and hence the runner
-  // stats) is identical for every thread count.
-  if (!misses.empty()) {
-    stats_.macs += misses.size();
-    stats_.lane_macs += misses.size();
-    std::vector<HmacJob> hj(misses.size());
-    for (std::size_t m = 0; m < misses.size(); ++m)
-      hj[m] = HmacJob{misses[m].schedule, jobs[misses[m].job].message,
-                      &misses[m].mac};
-    constexpr std::size_t kShard = 16;
-    if (runner_ != nullptr && runner_->threads() > 1 &&
-        hj.size() > kShard) {
-      for (std::size_t lo = 0; lo < hj.size(); lo += kShard) {
-        const std::size_t len = std::min(kShard, hj.size() - lo);
-        HmacJob* shard = hj.data() + lo;
-        runner_->submit([shard, len] { hmac_sha256_batch(shard, len); });
-      }
-      runner_->flush();
-    } else {
-      hmac_sha256_batch(hj.data(), hj.size());
-    }
-  }
-
-  // Phase 3 (calling thread, submission order): install memo entries and
-  // compare. Install order matches the serial loop, so colliding slots end
-  // up holding the same entry either way.
-  for (Miss& m : misses) {
-    m.slot->key = jobs[m.job].sig->key;
-    m.slot->fingerprint = m.fingerprint;
-    m.slot->length = m.length;
-    m.slot->mac = m.mac;
-    jobs[m.job].ok = constant_time_equal(
-        ByteSpan(m.mac.data(), m.mac.size()), jobs[m.job].sig->mac);
-  }
-  for (const Dup& d : dups) {
-    const Miss& m = misses[d.miss];
-    jobs[d.job].ok = constant_time_equal(
-        ByteSpan(m.mac.data(), m.mac.size()), jobs[d.job].sig->mac);
-  }
 }
 
 Signature Signer::sign(ByteSpan message) const {

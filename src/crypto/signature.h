@@ -58,27 +58,16 @@ struct Signature {
 
 /// Counters for the verification memo (bench reporting).
 struct VerifyStats {
-  std::uint64_t verifies = 0;   // verify jobs (verify calls + batch jobs)
+  std::uint64_t verifies = 0;   // verify() calls
   std::uint64_t memo_hits = 0;  // verifies answered from the memo table
   std::uint64_t macs = 0;       // HMAC computations (sign + verify misses)
-  // Batch-path counters. All deterministic for any verify-thread count:
-  // they depend only on the submitted job sequence, never on worker timing.
-  std::uint64_t batches = 0;     // verify_batch calls
-  std::uint64_t batch_jobs = 0;  // jobs across all verify_batch calls
-  std::uint64_t lane_macs = 0;   // MACs computed via the multi-buffer lanes
+  // Always 0: the registry verifies one signature per call. Kept because
+  // the repository benchmark (perfbench/) still sums them.
+  std::uint64_t batches = 0;
+  std::uint64_t batch_jobs = 0;
 };
 
 class Signer;
-class VerifyRunner;
-
-/// One verification in a batch (see KeyRegistry::verify_batch). The
-/// signature and message bytes must outlive the call; `ok` carries the
-/// verdict out.
-struct VerifyJob {
-  const Signature* sig = nullptr;
-  ByteSpan message;
-  bool ok = false;
-};
 
 /// The trusted key store. One per simulated world.
 class KeyRegistry {
@@ -93,22 +82,6 @@ class KeyRegistry {
 
   /// Verifies `sig` over `message`. Unknown keys verify as false.
   bool verify(const Signature& sig, ByteSpan message) const;
-
-  /// Verifies `n` jobs as one batch. Verdicts are identical to calling
-  /// verify() per job in order; what changes is the work shape: the memo
-  /// is consulted (and same-message repeats within the batch deduplicated)
-  /// up front, and the surviving MAC computations run together through the
-  /// multi-buffer SHA-256 lanes — sharded across the attached runner's
-  /// workers when one is attached and the batch is large enough. Memo
-  /// installs, verdict comparison and stats all happen on the calling
-  /// thread, so results and counters are deterministic for any thread
-  /// count.
-  void verify_batch(VerifyJob* jobs, std::size_t n) const;
-
-  /// Attaches (nullptr: detaches) a worker pool for sharding large
-  /// batches' MAC computations. Non-owning; the runner must outlive its
-  /// attachment. Results are unaffected (see verify_runner.h).
-  void attach_runner(VerifyRunner* runner) { runner_ = runner; }
 
   std::size_t key_count() const { return keys_.size(); }
 
@@ -144,7 +117,6 @@ class KeyRegistry {
   std::unordered_map<KeyId, KeyMaterial> keys_;
   KeyId next_key_ = 1;
   std::uint64_t seed_counter_ = 0x9e3779b97f4a7c15ULL;
-  VerifyRunner* runner_ = nullptr;  // non-owning; see attach_runner
 
   mutable std::array<MemoEntry, kMemoSlots> memo_{};
   mutable VerifyStats stats_;

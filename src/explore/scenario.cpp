@@ -221,7 +221,6 @@ std::string ScenarioSpec::describe() const {
   if (batch_size > 1 || replica_pipeline > 1)
     os << " batch=" << batch_size << "/p" << replica_pipeline;
   if (workload.enabled()) os << " " << workload.describe();
-  if (verify_threads != 1) os << " vthreads=" << verify_threads;
   return os.str();
 }
 
@@ -252,7 +251,6 @@ void ScenarioSpec::encode(serde::Writer& w) const {
   w.uvarint(batch_size);
   w.uvarint(replica_pipeline);
   workload.encode(w);
-  w.uvarint(verify_threads);
 }
 
 ScenarioSpec ScenarioSpec::decode(serde::Reader& r) {
@@ -292,9 +290,6 @@ ScenarioSpec ScenarioSpec::decode(serde::Reader& r) {
   if (s.replica_pipeline == 0)
     throw serde::DecodeError("replica_pipeline must be >= 1");
   s.workload = sim::WorkloadSpec::decode(r);
-  s.verify_threads = r.uvarint();
-  if (s.verify_threads > 256)
-    throw serde::DecodeError("verify_threads exceeds 256");
   return s;
 }
 
@@ -394,8 +389,6 @@ RunOutcome run_scenario(const ScenarioSpec& spec,
   // The USIG directory must outlive the world whose replicas reference it.
   std::unique_ptr<agreement::SgxUsigDirectory> usigs;
   sim::World world(spec.seed, std::move(adversary));
-  if (spec.verify_threads != 1)
-    world.set_verify_threads(static_cast<std::size_t>(spec.verify_threads));
 
   RunOutcome out;
   world.network().set_observer(

@@ -121,12 +121,6 @@ struct ScenarioSpec {
   /// the legacy `requests` client (if any), and `expected` counts both.
   sim::WorkloadSpec workload;
 
-  /// Worker threads for the ordered verification runner (World::
-  /// set_verify_threads). 1 = serial inline execution, no pool. 0 = one
-  /// per hardware thread. Pure wall-clock knob: results and fingerprints
-  /// are identical for every value (verify_runner_test sweeps this).
-  std::uint64_t verify_threads = 1;
-
   /// Record a virtual-time trace and a metrics snapshot into the outcome
   /// (RunOutcome::trace_json / RunOutcome::metrics). Purely observational:
   /// tracing must not change the execution (golden tests compare

@@ -10,16 +10,16 @@
 // shard, run()/run_until() execute the loop on the calling thread exactly
 // as before; with more, run_until runs shard 0 on the calling thread
 // (checking the predicate there) and the rest on internal threads that
-// live for the duration of the call. Three auxiliary thread kinds exist:
+// live for the duration of the call. Two auxiliary thread kinds exist:
 //
 //   * a receiver thread (only when `listen` is set) that drains datagram
 //     BURSTS — recvmmsg, up to options.recv_batch per syscall, with a
 //     portable recvfrom fallback behind the same interface — decodes
 //     frames (runtime/frame.h) and enqueues each burst into the target
 //     shards' inboxes, one lock acquisition per shard per burst;
-//   * the per-call shard loop threads described above;
-//   * the signature-verification worker pool (crypto/verify_runner.h),
-//     attached through World::set_verify_threads exactly as under the sim.
+//   * the per-call shard loop threads described above.
+//
+// Signature verification runs inline on the handler's loop thread.
 //
 // Outbound datagrams are coalesced: sends a handler issues are staged in
 // the executing shard's queue and flushed with one sendmmsg when the queue

@@ -1,9 +1,6 @@
 #include "sim/world.h"
 
 #include <algorithm>
-#include <thread>
-
-#include "crypto/sha256.h"
 
 namespace unidir::sim {
 
@@ -426,28 +423,6 @@ void World::publish_stats() {
   metrics_.set_counter("sig.verifies", sig.verifies);
   metrics_.set_counter("sig.memo_hits", sig.memo_hits);
   metrics_.set_counter("sig.macs", sig.macs);
-  metrics_.set_counter("sig.batches", sig.batches);
-  metrics_.set_counter("sig.batch_jobs", sig.batch_jobs);
-  metrics_.set_counter("sig.lane_macs", sig.lane_macs);
-  // Backend width, not workload: how many streams one compression call
-  // interleaves. A gauge so dashboards can normalize lane_macs by it.
-  metrics_.set_gauge("sig.lanes",
-                     static_cast<std::int64_t>(crypto::Sha256::batch_lanes()));
-
-  // Runner counters are deterministic for a given verify_threads setting
-  // (they count submissions and epochs, never worker progress), but they do
-  // depend on the setting itself — it decides whether batches shard at all.
-  // That is config, not scheduling: same seed + same knobs = same snapshot.
-  if (verify_runner_ != nullptr) {
-    const crypto::VerifyRunner::Stats rs = verify_runner_->stats();
-    metrics_.set_counter("runner.submitted", rs.submitted);
-    metrics_.set_counter("runner.released", rs.released);
-    metrics_.set_counter("runner.flushes", rs.flushes);
-    metrics_.set_gauge("runner.max_queue_depth",
-                       static_cast<std::int64_t>(rs.max_queue_depth));
-    metrics_.set_gauge("runner.threads",
-                       static_cast<std::int64_t>(verify_runner_->threads()));
-  }
 
   if (fault_transport_ != nullptr) {
     const runtime::FaultyTransportStats& fs = fault_transport_->stats();
@@ -465,23 +440,6 @@ void World::publish_stats() {
   metrics_.set_counter("wire.dropped_unknown_tag",
                        wire_stats_.total_dropped_unknown_tag());
   metrics_.set_counter("wire.dropped", wire_stats_.total_dropped());
-  // Grouped-verification demand from the protocol handlers: jobs/batches
-  // is the mean batch occupancy the quorum messages actually produced.
-  metrics_.set_counter("wire.verify_jobs", wire_stats_.total_verify_jobs());
-  metrics_.set_counter("wire.verify_batches",
-                       wire_stats_.total_verify_batches());
-}
-
-void World::set_verify_threads(std::size_t threads) {
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 0 ? hw : 1;
-  }
-  // Detach before replacing: the registry must never hold a pointer to a
-  // runner that is being destroyed.
-  keys_.attach_runner(nullptr);
-  verify_runner_ = std::make_unique<crypto::VerifyRunner>(threads);
-  keys_.attach_runner(verify_runner_.get());
 }
 
 void World::deliver(ProcessId from, ProcessId to, Channel channel,

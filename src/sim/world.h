@@ -48,7 +48,6 @@
 #include "common/payload.h"
 #include "common/types.h"
 #include "crypto/signature.h"
-#include "crypto/verify_runner.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "runtime/fault.h"
@@ -276,21 +275,6 @@ class World {
   /// are published too.
   void publish_stats();
 
-  /// Sets the signature-verification worker count and attaches the runner
-  /// to the key registry. 0 resolves to one thread per hardware thread;
-  /// <= 1 selects the inline serial mode (the default — no pool exists).
-  /// A deliberate wall-clock-only knob: results, transcripts and
-  /// fingerprints are identical for every value (see crypto/verify_runner.h
-  /// for why), so tests may compare a threaded run against a serial one.
-  void set_verify_threads(std::size_t threads);
-  /// The resolved worker count (1 when no runner was ever configured).
-  std::size_t verify_threads() const {
-    return verify_runner_ != nullptr ? verify_runner_->threads() : 1;
-  }
-  const crypto::VerifyRunner* verify_runner() const {
-    return verify_runner_.get();
-  }
-
   /// Runs until the event queue drains (all messages delivered or held).
   /// Returns events executed. On a socket-bound real-time backend the
   /// queue never provably drains; use run_until or Runtime::stop there.
@@ -357,9 +341,6 @@ class World {
   std::vector<std::unique_ptr<wire::StatsHub>> shard_wire_stats_;
   std::vector<std::unique_ptr<obs::MetricsRegistry>> shard_metrics_;
   obs::Tracer tracer_;
-  // Declared before keys_ so the registry (which holds a non-owning pointer
-  // to the runner while attached) is destroyed first.
-  std::unique_ptr<crypto::VerifyRunner> verify_runner_;
   crypto::KeyRegistry keys_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<Transcript> transcripts_;

@@ -1,7 +1,5 @@
 #include "trusted/usig.h"
 
-#include <vector>
-
 #include "common/check.h"
 #include "common/serde.h"
 
@@ -83,46 +81,6 @@ bool UsigEnclave::verify_ui(const crypto::KeyRegistry& keys,
   out.output = ui_output_bytes(ui.counter, ui.digest);
   out.sig = ui.sig;
   return SgxEnclave::verify(keys, key, out);
-}
-
-void UsigEnclave::verify_ui_batch(const crypto::KeyRegistry& keys,
-                                  UiVerifyJob* jobs, std::size_t n) {
-  // Phase 1: every message digest through the multi-buffer lanes at once.
-  std::vector<crypto::Digest> digests(n);
-  std::vector<crypto::ShaJob> sj(n);
-  for (std::size_t i = 0; i < n; ++i)
-    sj[i] = crypto::ShaJob{
-        nullptr, ByteSpan(jobs[i].message->data(), jobs[i].message->size()),
-        &digests[i]};
-  crypto::Sha256::hash_batch(sj.data(), n);
-
-  // Phase 2: attestation signatures of the surviving jobs as one registry
-  // batch. A digest or attestation-key mismatch fails without touching the
-  // registry, exactly as the serial path's early returns do.
-  std::vector<Bytes> reports;
-  std::vector<crypto::VerifyJob> vj;
-  std::vector<std::size_t> which;
-  reports.reserve(n);
-  vj.reserve(n);
-  which.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (digests[i] != jobs[i].ui->digest ||
-        jobs[i].ui->sig.key != jobs[i].key) {
-      jobs[i].ok = false;
-      continue;
-    }
-    reports.push_back(SealedOutput::report_bytes(
-        ui_output_bytes(jobs[i].ui->counter, jobs[i].ui->digest)));
-    which.push_back(i);
-  }
-  if (which.empty()) return;
-  for (std::size_t k = 0; k < which.size(); ++k)
-    vj.push_back(crypto::VerifyJob{
-        &jobs[which[k]].ui->sig,
-        ByteSpan(reports[k].data(), reports[k].size()), false});
-  keys.verify_batch(vj.data(), vj.size());
-  for (std::size_t k = 0; k < which.size(); ++k)
-    jobs[which[k]].ok = vj[k].ok;
 }
 
 }  // namespace unidir::trusted

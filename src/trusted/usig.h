@@ -44,22 +44,6 @@ class UsigEnclave {
   static bool verify_ui(const crypto::KeyRegistry& keys, crypto::KeyId key,
                         const UniqueIdentifier& ui, const Bytes& message);
 
-  /// One verification in a verify_ui_batch call; `ok` is the output.
-  struct UiVerifyJob {
-    crypto::KeyId key = 0;
-    const UniqueIdentifier* ui = nullptr;
-    const Bytes* message = nullptr;
-    bool ok = false;
-  };
-
-  /// Batched verifyUI: per-job results equal verify_ui run serially, but
-  /// the message digests go through Sha256::hash_batch's multi-buffer
-  /// lanes and the attestation checks through KeyRegistry::verify_batch,
-  /// so a quorum flood's UIs amortize into a handful of wide compression
-  /// calls instead of one stream each.
-  static void verify_ui_batch(const crypto::KeyRegistry& keys,
-                              UiVerifyJob* jobs, std::size_t n);
-
   // -- crash-recovery (see DESIGN.md §9) ------------------------------------
   /// The enclave's sealed counter blob, suitable for a DurableStore.
   Bytes save_state() const { return enclave_.sealed_state(); }

@@ -45,11 +45,6 @@ struct ChannelStats {
   std::uint64_t dropped_unknown_tag = 0;
   /// Sender rejected by the router's peer filter.
   std::uint64_t dropped_filtered = 0;
-  /// Signature/UI verifications this channel's handlers submitted as
-  /// grouped batches (quorum messages carrying several attestations), and
-  /// how many groups. jobs/batches is the channel's batch occupancy.
-  std::uint64_t verify_jobs = 0;
-  std::uint64_t verify_batches = 0;
 
   std::map<std::uint8_t, TypeStats> types;
 
@@ -75,12 +70,6 @@ class StatsHub {
     t.bytes_sent += bytes;
   }
 
-  void note_verify_batch(Channel ch, std::size_t jobs) {
-    ChannelStats& cs = channel(ch);
-    ++cs.verify_batches;
-    cs.verify_jobs += jobs;
-  }
-
   /// Folds `other`'s counts into this hub and zeroes `other` — the fold
   /// half of the World's per-execution-shard hubs (sharded RealRuntime
   /// handlers each write their own hub; the primary absorbs them when the
@@ -96,8 +85,6 @@ class StatsHub {
       cs.dropped_malformed += ocs.dropped_malformed;
       cs.dropped_unknown_tag += ocs.dropped_unknown_tag;
       cs.dropped_filtered += ocs.dropped_filtered;
-      cs.verify_jobs += ocs.verify_jobs;
-      cs.verify_batches += ocs.verify_batches;
       for (auto& [tag, ot] : ocs.types) {
         TypeStats& t = cs.type(tag, ot.name);
         t.sent += ot.sent;
@@ -111,12 +98,6 @@ class StatsHub {
   }
 
   // -- aggregates (fuzz sweeps assert on these) -----------------------------
-  std::uint64_t total_verify_jobs() const {
-    return sum([](const ChannelStats& c) { return c.verify_jobs; });
-  }
-  std::uint64_t total_verify_batches() const {
-    return sum([](const ChannelStats& c) { return c.verify_batches; });
-  }
   std::uint64_t total_received() const {
     return sum([](const ChannelStats& c) { return c.received; });
   }

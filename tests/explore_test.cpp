@@ -248,5 +248,21 @@ TEST(Scenario, MutatedCommitQuorumKnobRoundTrips) {
   EXPECT_EQ(ScenarioSpec::from_hex(spec.to_hex()).commit_quorum, spec.n);
 }
 
+// The world publishes the registry's memo counters as metrics. The batch
+// fields of VerifyStats are never incremented: the registry verifies one
+// signature per call, even in a batched run.
+TEST(Scenario, SignatureCountersPublishedAndBatchFieldsStayZero) {
+  const ScenarioSpec spec = ScenarioSpec::materialize_batched(
+      ProtocolKind::MinBft, AdversaryKind::Immediate, 2);
+  const RunOutcome out = run_scenario(spec, InvariantRegistry::standard_smr());
+  ASSERT_FALSE(out.violation.has_value()) << spec.describe();
+  EXPECT_GT(out.sig.verifies, 0u);
+  EXPECT_EQ(out.metrics.counter_or("sig.verifies", 0), out.sig.verifies);
+  EXPECT_EQ(out.metrics.counter_or("sig.memo_hits", 0), out.sig.memo_hits);
+  EXPECT_EQ(out.metrics.counter_or("sig.macs", 0), out.sig.macs);
+  EXPECT_EQ(out.sig.batches, 0u);
+  EXPECT_EQ(out.sig.batch_jobs, 0u);
+}
+
 }  // namespace
 }  // namespace unidir::explore

@@ -427,5 +427,200 @@ TEST(MinBft, RejectsTooSmallReplicaGroups) {
                std::invalid_argument);
 }
 
+// ---- grouped UI checks (UsigDirectory::verify_batch) ----------------------
+// MinBFT checks a COMMIT's two UIs through one verify_batch call.
+
+TEST(UsigBatch, MatchesSerialVerifyIncludingTamperedJobs) {
+  crypto::KeyRegistry keys;
+  SgxUsigDirectory usigs(keys);
+  std::vector<Bytes> msgs;
+  std::vector<trusted::UniqueIdentifier> uis;
+  for (int i = 0; i < 8; ++i) {
+    msgs.push_back(bytes_of("usig message " + std::to_string(i)));
+    uis.push_back(usigs.create_ui(static_cast<ProcessId>(i % 3),
+                                  msgs.back()));
+  }
+  // Tamper: wrong message for UI 2, forged digest for UI 4, wrong device
+  // for UI 6, unknown device for UI 7.
+  std::vector<UsigVerifyJob> jobs(msgs.size());
+  const Bytes wrong = bytes_of("substituted");
+  for (std::size_t i = 0; i < msgs.size(); ++i)
+    jobs[i] = UsigVerifyJob{static_cast<ProcessId>(i % 3), &uis[i], &msgs[i],
+                            false};
+  jobs[2].message = &wrong;
+  uis[4].digest[0] ^= 0xFF;
+  jobs[6].p = static_cast<ProcessId>((6 % 3) + 1);  // someone else's device
+  jobs[7].p = 42;                                   // no such device
+
+  usigs.verify_batch(jobs.data(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    EXPECT_EQ(jobs[i].ok, usigs.verify(jobs[i].p, *jobs[i].ui,
+                                       *jobs[i].message))
+        << "job " << i;
+  EXPECT_TRUE(jobs[0].ok);
+  EXPECT_FALSE(jobs[2].ok);
+  EXPECT_FALSE(jobs[4].ok);
+  EXPECT_FALSE(jobs[6].ok);
+  EXPECT_FALSE(jobs[7].ok);
+}
+
+TEST(UsigBatch, DefaultDirectoryImplementationIsTheSerialLoop) {
+  // The base-class default must agree with per-job verify() over a second
+  // mechanism too.
+  crypto::KeyRegistry keys;
+  TrincUsigDirectory usigs(keys);
+  const Bytes m0 = bytes_of("trinc message 0");
+  const Bytes m1 = bytes_of("trinc message 1");
+  const auto ui0 = usigs.create_ui(0, m0);
+  const auto ui1 = usigs.create_ui(1, m1);
+  UsigVerifyJob jobs[3] = {
+      {0, &ui0, &m0, false},
+      {1, &ui1, &m1, false},
+      {1, &ui0, &m0, false},  // wrong device for this UI
+  };
+  usigs.verify_batch(jobs, 3);
+  EXPECT_TRUE(jobs[0].ok);
+  EXPECT_TRUE(jobs[1].ok);
+  EXPECT_FALSE(jobs[2].ok);
+}
+
+// The grouped check shares the registry memo with single verifies.
+
+TEST(VerifyBatch, MatchesSerialVerdictsIncludingForgeries) {
+  // Over the TrInc directory, whose UIs carry reconstructible attestations:
+  // every forgery a Byzantine sender could try is rejected inside a group
+  // exactly as it is alone.
+  crypto::KeyRegistry keys;
+  TrincUsigDirectory usigs(keys);
+  std::vector<Bytes> msgs;
+  std::vector<trusted::UniqueIdentifier> uis;
+  for (int i = 0; i < 12; ++i) {
+    msgs.push_back(bytes_of("trinc group message " + std::to_string(i)));
+    uis.push_back(usigs.create_ui(static_cast<ProcessId>(i % 3),
+                                  msgs.back()));
+  }
+  std::vector<UsigVerifyJob> jobs(msgs.size());
+  for (std::size_t i = 0; i < msgs.size(); ++i)
+    jobs[i] = UsigVerifyJob{static_cast<ProcessId>(i % 3), &uis[i], &msgs[i],
+                            false};
+  uis[1].counter += 5;        // relabelled counter
+  uis[3].counter = 0;         // counter value no device issues
+  uis[5].sig.mac[0] ^= 0x01;  // corrupted attestation
+  jobs[7].message = &msgs[8];  // right device, someone else's message
+  jobs[9].p = 42;              // no such device
+
+  usigs.verify_batch(jobs.data(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    EXPECT_EQ(jobs[i].ok, usigs.verify(jobs[i].p, *jobs[i].ui,
+                                       *jobs[i].message))
+        << "job " << i;
+  for (const std::size_t i : {0u, 2u, 4u, 6u, 8u, 10u, 11u})
+    EXPECT_TRUE(jobs[i].ok) << "job " << i;
+  for (const std::size_t i : {1u, 3u, 5u, 7u, 9u})
+    EXPECT_FALSE(jobs[i].ok) << "job " << i;
+}
+
+TEST(VerifyBatch, MemoDedupesWithinAndAcrossBatches) {
+  crypto::KeyRegistry keys;
+  SgxUsigDirectory usigs(keys);
+  const Bytes msg = bytes_of("the same UI, many times");
+  const trusted::UniqueIdentifier ui = usigs.create_ui(0, msg);
+
+  // Creating the UI signed it, which memoized its MAC.
+  const std::uint64_t macs_after_sign = keys.verify_stats().macs;
+  const std::uint64_t hits_after_sign = keys.verify_stats().memo_hits;
+
+  std::vector<UsigVerifyJob> jobs(8, UsigVerifyJob{0, &ui, &msg, false});
+  usigs.verify_batch(jobs.data(), jobs.size());
+  for (const auto& j : jobs) EXPECT_TRUE(j.ok);
+  // All eight hit the memo entry installed by signing: zero new MACs.
+  EXPECT_EQ(keys.verify_stats().macs, macs_after_sign);
+  EXPECT_EQ(keys.verify_stats().memo_hits, hits_after_sign + 8);
+
+  // A second group is pure memo too.
+  usigs.verify_batch(jobs.data(), jobs.size());
+  EXPECT_EQ(keys.verify_stats().macs, macs_after_sign);
+  EXPECT_EQ(keys.verify_stats().memo_hits, hits_after_sign + 16);
+}
+
+TEST(VerifyBatch, IntraBatchDuplicatesComputeTheMacOnce) {
+  // Key material derives deterministically from the registry's seed
+  // stream, so a twin directory on a twin registry issues UIs this one
+  // verifies — without signing having planted a memo entry here. The group
+  // then sees six memo misses for one UI: the first computes the MAC, the
+  // other five are answered from the memo.
+  crypto::KeyRegistry verifier_keys;
+  crypto::KeyRegistry twin_keys;
+  SgxUsigDirectory verifier(verifier_keys);
+  SgxUsigDirectory twin(twin_keys);
+  (void)verifier.create_ui(0, bytes_of("installs device 0 here"));
+  const Bytes msg = bytes_of("fresh group-duplicated message");
+  const trusted::UniqueIdentifier ui = twin.create_ui(0, msg);
+
+  const std::uint64_t macs_before = verifier_keys.verify_stats().macs;
+  const std::uint64_t hits_before = verifier_keys.verify_stats().memo_hits;
+  std::vector<UsigVerifyJob> jobs(6, UsigVerifyJob{0, &ui, &msg, false});
+  verifier.verify_batch(jobs.data(), jobs.size());
+  for (const auto& j : jobs) EXPECT_TRUE(j.ok);
+  EXPECT_EQ(verifier_keys.verify_stats().macs, macs_before + 1);
+  EXPECT_EQ(verifier_keys.verify_stats().memo_hits, hits_before + 5);
+}
+
+/// Forwards to an SGX directory and counts the grouped checks.
+class CountingUsigDirectory final : public UsigDirectory {
+ public:
+  explicit CountingUsigDirectory(crypto::KeyRegistry& keys) : inner_(keys) {}
+
+  trusted::UniqueIdentifier create_ui(ProcessId p,
+                                      const Bytes& message) override {
+    return inner_.create_ui(p, message);
+  }
+  bool verify(ProcessId p, const trusted::UniqueIdentifier& ui,
+              const Bytes& message) const override {
+    return inner_.verify(p, ui, message);
+  }
+  void verify_batch(UsigVerifyJob* jobs, std::size_t n) const override {
+    ++groups;
+    grouped_jobs += n;
+    UsigDirectory::verify_batch(jobs, n);
+  }
+  void restart_device(ProcessId p, bool durable_state) override {
+    inner_.restart_device(p, durable_state);
+  }
+
+  mutable std::size_t groups = 0;
+  mutable std::size_t grouped_jobs = 0;
+
+ private:
+  SgxUsigDirectory inner_;
+};
+
+TEST(MinBft, CommitChecksItsTwoUisAsOneGroup) {
+  // A COMMIT carries the primary's UI for the PREPARE and the sender's own
+  // UI; the replica checks both through one verify_batch call, which is
+  // what a directory decorator observes.
+  sim::World world(17, std::make_unique<sim::RandomDelayAdversary>(1, 10));
+  CountingUsigDirectory usigs(world.keys());
+  MinBftReplica::Options options;
+  options.f = 1;
+  options.replicas = {0, 1, 2};
+  std::vector<MinBftReplica*> replicas;
+  for (int i = 0; i < 3; ++i)
+    replicas.push_back(&world.spawn<MinBftReplica>(
+        options, usigs, std::make_unique<KvStateMachine>()));
+  SmrClient::Options copt;
+  copt.replicas = options.replicas;
+  copt.f = 1;
+  auto& client = world.spawn<SmrClient>(copt);
+  for (int k = 0; k < 5; ++k)
+    client.submit(KvStateMachine::put_op("k" + std::to_string(k), "v"));
+  world.start();
+  world.run_to_quiescence();
+  EXPECT_EQ(client.completed(), 5u);
+  EXPECT_FALSE(testutil::log_divergence(world, replicas).has_value());
+  EXPECT_GT(usigs.groups, 0u);
+  EXPECT_EQ(usigs.grouped_jobs, 2 * usigs.groups);
+}
+
 }  // namespace
 }  // namespace unidir::agreement

@@ -68,6 +68,23 @@ TEST(Sha256, BoundaryLengths) {
   }
 }
 
+TEST(Sha256, PortableBackendMatchesSelectedBackend) {
+  // On an SHA-NI host Sha256 never runs the portable compression function,
+  // so compare it directly against the selected backend at every length up
+  // to 1000 bytes: each 55/56/63/64-byte padding seam of the first 15
+  // blocks. The FIPS vector covers hosts where both sides are portable.
+  Bytes data(1000);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const ByteSpan msg(data.data(), len);
+    ASSERT_EQ(detail::hash_portable(msg), Sha256::hash(msg)) << "len " << len;
+  }
+  const Digest abc = detail::hash_portable(bytes_of("abc"));
+  EXPECT_EQ(to_hex(ByteSpan(abc.data(), abc.size())),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
 TEST(Sha256, ReuseAfterFinishRejected) {
   Sha256 h;
   h.update(bytes_of("x"));
@@ -94,6 +111,25 @@ TEST(Sha256, DistinctInputsDistinctDigests) {
     seen.insert(to_hex(ByteSpan(d.data(), d.size())));
   }
   EXPECT_EQ(seen.size(), 1000u);
+}
+
+TEST(Sha256, CopyResumesFromMidstate) {
+  // HmacKey stores hashers that have absorbed the key pads and copies them
+  // per MAC: a copy must continue from the midstate, buffered partial block
+  // included, and leave the original untouched.
+  Bytes data(300);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  const Digest whole = Sha256::hash(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Sha256 h;
+    h.update(ByteSpan(data.data(), split));
+    Sha256 copy = h;
+    copy.update(ByteSpan(data.data() + split, data.size() - split));
+    ASSERT_EQ(copy.finish(), whole) << "copy at " << split;
+    h.update(ByteSpan(data.data() + split, data.size() - split));
+    ASSERT_EQ(h.finish(), whole) << "original at " << split;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/serde.h"
 #include "crypto/signature.h"
 
@@ -94,6 +97,90 @@ TEST(Signature, DeterministicAcrossRegistriesWithSameHistory) {
   const Signer s2 = r2.generate_key();
   const Bytes msg = bytes_of("replay");
   EXPECT_EQ(s1.sign(msg), s2.sign(msg));
+}
+
+TEST(Signature, MemoComputesEachMacOnce) {
+  // A twin registry derives the same key, so its signature verifies here
+  // without sign() having planted a memo entry: the first verify computes
+  // the MAC and the repeats are answered from the memo.
+  KeyRegistry verifier;
+  KeyRegistry twin;
+  (void)verifier.generate_key();
+  const Signer signer = twin.generate_key();
+  const Bytes msg = bytes_of("the same message, many times");
+  const Signature sig = signer.sign(msg);
+  const std::uint64_t macs_before = verifier.verify_stats().macs;
+  for (int i = 0; i < 6; ++i) EXPECT_TRUE(verifier.verify(sig, msg));
+  EXPECT_EQ(verifier.verify_stats().verifies, 6u);
+  EXPECT_EQ(verifier.verify_stats().macs, macs_before + 1);
+  EXPECT_EQ(verifier.verify_stats().memo_hits, 5u);
+
+  // Signing memoizes too: verifying the signer's own signature costs no MAC.
+  const std::uint64_t twin_macs = twin.verify_stats().macs;
+  EXPECT_TRUE(twin.verify(sig, msg));
+  EXPECT_EQ(twin.verify_stats().macs, twin_macs);
+}
+
+TEST(Signature, MemoStoresMacsNotVerdicts) {
+  // sign() plants the true MAC in the memo. A tampered signature over the
+  // same message is answered from that entry, and still fails: the memo
+  // holds the MAC to compare against, not a cached "valid".
+  KeyRegistry registry;
+  const Signer signer = registry.generate_key();
+  const Bytes msg = bytes_of("memoized message");
+  const Signature sig = signer.sign(msg);
+  const VerifyStats before = registry.verify_stats();
+  Signature forged = sig;
+  forged.mac[31] ^= 0x80;
+  EXPECT_FALSE(registry.verify(forged, msg));
+  EXPECT_TRUE(registry.verify(sig, msg));
+  EXPECT_EQ(registry.verify_stats().macs, before.macs);
+  EXPECT_EQ(registry.verify_stats().memo_hits, before.memo_hits + 2);
+}
+
+TEST(Signature, MemoEvictionRecomputesAndStaysCorrect) {
+  // The memo is bounded: with more distinct messages than slots, some
+  // entries are evicted, and re-verifying them recomputes the MAC. Every
+  // verdict stays what it would be without a memo.
+  KeyRegistry registry;
+  const Signer signer = registry.generate_key();
+  constexpr int kMessages = 3000;  // well past the memo's slot count
+  std::vector<Bytes> msgs;
+  std::vector<Signature> sigs;
+  for (int i = 0; i < kMessages; ++i) {
+    msgs.push_back(bytes_of("message #" + std::to_string(i)));
+    sigs.push_back(signer.sign(msgs.back()));
+  }
+  const VerifyStats before = registry.verify_stats();
+  for (int i = 0; i < kMessages; ++i)
+    ASSERT_TRUE(registry.verify(sigs[static_cast<std::size_t>(i)],
+                                msgs[static_cast<std::size_t>(i)]))
+        << "message " << i;
+  const VerifyStats after = registry.verify_stats();
+  EXPECT_GT(after.macs, before.macs);
+  EXPECT_EQ((after.macs - before.macs) + (after.memo_hits - before.memo_hits),
+            static_cast<std::uint64_t>(kMessages));
+  Signature forged = sigs.front();
+  forged.mac[0] ^= 0x01;
+  EXPECT_FALSE(registry.verify(forged, msgs.front()));
+}
+
+TEST(Signature, MemoSeparatesKeysForTheSameMessage) {
+  // Two keys sign one message: two memo entries. A signature relabelled to
+  // the other key must not be answered from its own key's entry.
+  KeyRegistry registry;
+  const Signer alice = registry.generate_key();
+  const Signer bob = registry.generate_key();
+  const Bytes msg = bytes_of("one message, two signers");
+  const Signature sa = alice.sign(msg);
+  const Signature sb = bob.sign(msg);
+  const std::uint64_t macs = registry.verify_stats().macs;
+  EXPECT_TRUE(registry.verify(sa, msg));
+  EXPECT_TRUE(registry.verify(sb, msg));
+  Signature relabelled = sa;
+  relabelled.key = bob.key();
+  EXPECT_FALSE(registry.verify(relabelled, msg));
+  EXPECT_EQ(registry.verify_stats().macs, macs);
 }
 
 }  // namespace
