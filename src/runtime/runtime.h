@@ -42,8 +42,8 @@ namespace unidir::runtime {
 using TimerId = std::uint64_t;
 inline constexpr TimerId kNoTimer = 0;
 
-/// "Not an execution shard": what Runtime::calling_shard returns on the
-/// single-loop backends and on any thread that is not a shard loop.
+/// "Not an execution shard": what Runtime::calling_shard returns on every
+/// backend in this library (each runs one event loop).
 inline constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
 /// Work accounting shared by both backends. Wall-clock rate arithmetic
@@ -152,22 +152,21 @@ class Runtime {
   virtual RuntimeStats stats() const = 0;
 
   // -- execution shards ------------------------------------------------------
-  // A backend may split its event loop into several shards, each running
-  // local processes pinned to it on its own thread (RealRuntime with
-  // options.shards > 1). Single-loop backends report one shard and route
-  // arm_for through the plain clock, so callers can use these uniformly.
+  // Both backends run one event loop, so they keep these defaults: one
+  // shard, no calling shard, arm_for through the plain clock. Decorating
+  // runtimes forward them to the runtime they wrap.
 
   /// Number of event-loop shards this backend executes handlers on.
   virtual std::size_t execution_shards() const { return 1; }
 
   /// The shard index whose loop the calling thread is currently running,
-  /// or kNoShard (always kNoShard on single-loop backends, where handlers
-  /// run on the caller's own thread).
+  /// or kNoShard.
   virtual std::size_t calling_shard() const { return kNoShard; }
 
-  /// Arms a timer whose callback touches `owner`'s state. Sharded backends
-  /// route it onto `owner`'s shard so the callback is serialized with the
-  /// owner's message handlers; everywhere else this is exactly clock().arm.
+  /// Arms a timer whose callback touches `owner`'s state. Naming the owner
+  /// lets a decorator attribute the callback to it (perfbench's
+  /// TracedRuntime records spans per process); otherwise this is exactly
+  /// clock().arm.
   virtual TimerId arm_for(ProcessId owner, Time delay,
                           std::function<void()> fn) {
     (void)owner;
@@ -175,7 +174,7 @@ class Runtime {
   }
 
   /// Per-shard work accounting; index < execution_shards(). The default
-  /// single-loop implementation returns the aggregate for shard 0.
+  /// returns the aggregate for shard 0.
   virtual RuntimeStats shard_stats(std::size_t shard) const {
     (void)shard;
     return stats();

@@ -70,33 +70,6 @@ class StatsHub {
     t.bytes_sent += bytes;
   }
 
-  /// Folds `other`'s counts into this hub and zeroes `other` — the fold
-  /// half of the World's per-execution-shard hubs (sharded RealRuntime
-  /// handlers each write their own hub; the primary absorbs them when the
-  /// loops are parked). Draining keeps the fold idempotent: calling it
-  /// twice never double-counts.
-  void merge_from(StatsHub& other) {
-    for (auto& [ch, ocs] : other.channels_) {
-      ChannelStats& cs = channels_[ch];
-      cs.sent += ocs.sent;
-      cs.received += ocs.received;
-      cs.bytes_sent += ocs.bytes_sent;
-      cs.bytes_received += ocs.bytes_received;
-      cs.dropped_malformed += ocs.dropped_malformed;
-      cs.dropped_unknown_tag += ocs.dropped_unknown_tag;
-      cs.dropped_filtered += ocs.dropped_filtered;
-      for (auto& [tag, ot] : ocs.types) {
-        TypeStats& t = cs.type(tag, ot.name);
-        t.sent += ot.sent;
-        t.received += ot.received;
-        t.bytes_sent += ot.bytes_sent;
-        t.bytes_received += ot.bytes_received;
-        t.dropped_malformed += ot.dropped_malformed;
-      }
-    }
-    other.channels_.clear();
-  }
-
   // -- aggregates (fuzz sweeps assert on these) -----------------------------
   std::uint64_t total_received() const {
     return sum([](const ChannelStats& c) { return c.received; });
