@@ -10,22 +10,23 @@ namespace {
 // (length included), so batch boundaries are part of the attestation — a
 // batch cannot be split or merged without invalidating the UI. The USIG
 // hashes its input, so the batch needs no digest of its own.
-Bytes prepare_binding(ViewNum view, const std::vector<Command>& cmds) {
-  serde::Writer w;
-  w.str("minbft-prep");
-  w.uvarint(view);
-  serde::write(w, cmds);
-  return w.take();
+serde::ScratchWriter prepare_binding(ViewNum view,
+                                     const std::vector<Command>& cmds) {
+  serde::ScratchWriter w;
+  w->str("minbft-prep");
+  w->uvarint(view);
+  serde::write(*w, cmds);
+  return w;
 }
 
-Bytes commit_binding(ViewNum view, SeqNum primary_counter,
-                     const std::vector<Command>& cmds) {
-  serde::Writer w;
-  w.str("minbft-comm");
-  w.uvarint(view);
-  w.uvarint(primary_counter);
-  serde::write(w, cmds);
-  return w.take();
+serde::ScratchWriter commit_binding(ViewNum view, SeqNum primary_counter,
+                                    const std::vector<Command>& cmds) {
+  serde::ScratchWriter w;
+  w->str("minbft-comm");
+  w->uvarint(view);
+  w->uvarint(primary_counter);
+  serde::write(*w, cmds);
+  return w;
 }
 
 Bytes recover_binding() {
@@ -111,7 +112,7 @@ Bytes MinBftReplica::encode_prepare_for_test(UsigDirectory& usigs,
   Prepare p;
   p.view = view;
   p.cmds = cmds;
-  p.ui = usigs.create_ui(as, prepare_binding(view, cmds));
+  p.ui = usigs.create_ui(as, prepare_binding(view, cmds).buffer());
   return wire::encode_tagged(p);
 }
 
@@ -142,7 +143,7 @@ void MinBftReplica::propose(std::vector<Command> cmds) {
   Prepare p;
   p.view = view_;
   p.cmds = std::move(cmds);
-  p.ui = usigs_.create_ui(id(), prepare_binding(view_, p.cmds));
+  p.ui = usigs_.create_ui(id(), prepare_binding(view_, p.cmds).buffer());
   // Our own UI consumption advances our own stream: messages from peers
   // embedding this UI must not wait for us to "receive" it.
   ui_high_[id()] = p.ui.counter;
@@ -166,22 +167,6 @@ bool MinBftReplica::accept_slot(ViewNum view, std::vector<Command> cmds,
   slot.committers.insert(primary_of(view_));
   accept(primary_ui.counter, slot, std::move(cmds));
   return true;
-}
-
-void MinBftReplica::sequenced(ProcessId sender, SeqNum counter,
-                              std::function<void()> action) {
-  SeqNum& high = ui_high_[sender];
-  if (counter <= high) {
-    action();  // already due; handlers are idempotent
-    return;
-  }
-  if (counter > high + 1) {
-    ui_waiting_[sender][counter].push_back(std::move(action));
-    return;
-  }
-  high = counter;
-  action();
-  drain_ui(sender);  // the gap closure may have unblocked buffered actions
 }
 
 void MinBftReplica::drain_ui(ProcessId sender) {
@@ -216,15 +201,18 @@ void MinBftReplica::handle_prepare(ProcessId from, Prepare p) {
   // UI validity is checked at arrival (a forged UI must not advance the
   // sender's stream); all protocol-state checks wait until the counter is
   // due, so that semantically stale-but-genuine UIs still advance it.
-  if (!usigs_.verify(from, p.ui, prepare_binding(p.view, p.cmds))) return;
-  // Shared, not copied, into the deferred actions: a batch may be large.
-  auto msg = std::make_shared<const Prepare>(std::move(p));
-  sequenced(from, msg->ui.counter, [this, from, msg]() {
-    when_in_view(msg->view, [this, from, msg]() {
+  if (!usigs_.verify(from, p.ui, prepare_binding(p.view, p.cmds).buffer()))
+    return;
+  // Moved, not copied, into the deferred actions: a batch may be large.
+  const SeqNum counter = p.ui.counter;
+  sequenced(from, counter, [this, from, p = std::move(p)]() mutable {
+    const ViewNum view = p.view;
+    when_in_view(view, [this, from, p = std::move(p)]() mutable {
       if (from != primary_of(view_)) return;
-      if (!accept_slot(msg->view, msg->cmds, msg->ui)) return;
-      maybe_send_own_commit(msg->ui.counter);
-      for (const Command& cmd : msg->cmds) guard(cmd);
+      if (!accept_slot(p.view, std::move(p.cmds), p.ui)) return;
+      maybe_send_own_commit(p.ui.counter);
+      // The slot holds the batch now (sends are queued, never re-entrant).
+      for (const Command& cmd : slot_at(p.ui.counter).cmds) guard(cmd);
       try_execute();
     });
   });
@@ -236,27 +224,31 @@ void MinBftReplica::handle_commit(ProcessId from, Commit c) {
   const ProcessId prepare_author = primary_of(c.view);
   // A COMMIT carries two attestations: the embedded PREPARE's and the
   // sender's. Both must hold.
-  const Bytes prepare_bind = prepare_binding(c.view, c.cmds);
-  const Bytes commit_bind =
+  const serde::ScratchWriter prepare_bind = prepare_binding(c.view, c.cmds);
+  const serde::ScratchWriter commit_bind =
       commit_binding(c.view, c.primary_ui.counter, c.cmds);
   UsigVerifyJob vj[2] = {
-      {prepare_author, &c.primary_ui, &prepare_bind, false},
-      {from, &c.replica_ui, &commit_bind, false},
+      {prepare_author, &c.primary_ui, &prepare_bind.buffer(), false},
+      {from, &c.replica_ui, &commit_bind.buffer(), false},
   };
   usigs_.verify_batch(vj, 2);
   if (!vj[0].ok || !vj[1].ok) return;
   // Double sequencing: the commit is ordered in the sender's UI stream,
   // and the embedded PREPARE in the primary's.
-  auto msg = std::make_shared<const Commit>(std::move(c));
-  sequenced(from, msg->replica_ui.counter, [this, from, msg, prepare_author]() {
-    sequenced(prepare_author, msg->primary_ui.counter, [this, from, msg]() {
-      when_in_view(msg->view, [this, from, msg]() {
+  const SeqNum counter = c.replica_ui.counter;
+  sequenced(from, counter,
+            [this, from, prepare_author, c = std::move(c)]() mutable {
+    const SeqNum primary_counter = c.primary_ui.counter;
+    sequenced(prepare_author, primary_counter,
+              [this, from, c = std::move(c)]() mutable {
+      const ViewNum view = c.view;
+      when_in_view(view, [this, from, c = std::move(c)]() mutable {
         if (from == primary_of(view_)) return;  // its vote is its PREPARE
         // A COMMIT carries the full PREPARE, so it can open the slot (and
         // prompt our own vote) even if the PREPARE itself never reached us.
-        if (!accept_slot(msg->view, msg->cmds, msg->primary_ui)) return;
-        slot_at(msg->primary_ui.counter).committers.insert(from);
-        maybe_send_own_commit(msg->primary_ui.counter);
+        if (!accept_slot(c.view, std::move(c.cmds), c.primary_ui)) return;
+        slot_at(c.primary_ui.counter).committers.insert(from);
+        maybe_send_own_commit(c.primary_ui.counter);
         try_execute();
       });
     });
@@ -271,8 +263,8 @@ void MinBftReplica::maybe_send_own_commit(SeqNum primary_counter) {
   c.view = view_;
   c.cmds = slot.cmds;
   c.primary_ui = slot.primary_ui;
-  c.replica_ui =
-      usigs_.create_ui(id(), commit_binding(view_, primary_counter, c.cmds));
+  c.replica_ui = usigs_.create_ui(
+      id(), commit_binding(view_, primary_counter, c.cmds).buffer());
   ui_high_[id()] = c.replica_ui.counter;  // see propose()
   protocol_router_.broadcast(c);
 }

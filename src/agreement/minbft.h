@@ -115,9 +115,23 @@ class MinBftReplica final : public ReplicaCore {
   /// `counter` becomes due (immediately if already processed — handlers
   /// are idempotent); future counters buffer. Without this rule a
   /// Byzantine primary could fork the log by showing different counters
-  /// to different backups.
-  void sequenced(ProcessId sender, SeqNum counter,
-                 std::function<void()> action);
+  /// to different backups. Only a buffered action is type-erased (and so
+  /// allocated).
+  template <class F>
+  void sequenced(ProcessId sender, SeqNum counter, F&& action) {
+    SeqNum& high = ui_high_[sender];
+    if (counter <= high) {
+      action();  // already due; handlers are idempotent
+      return;
+    }
+    if (counter > high + 1) {
+      ui_waiting_[sender][counter].emplace_back(std::forward<F>(action));
+      return;
+    }
+    high = counter;
+    action();
+    drain_ui(sender);  // the gap closure may have unblocked buffered actions
+  }
   /// Forces `sender`'s processed-counter frontier up to `to` (from a
   /// RECOVER announcement or a state-transfer snapshot) and runs whatever
   /// buffered actions became due. Counters at or below the new frontier

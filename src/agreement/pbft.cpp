@@ -8,22 +8,22 @@ namespace {
 
 /// Digest of the whole batch: what the PREPARE/COMMIT votes name, so batch
 /// boundaries are part of what the quorum agrees on.
-Bytes batch_digest(const std::vector<Command>& cmds) {
-  serde::Writer w;
-  serde::write(w, cmds);
-  return crypto::digest_bytes(crypto::Sha256::hash(w.take()));
+crypto::Digest batch_digest(const std::vector<Command>& cmds) {
+  serde::ScratchWriter w;
+  serde::write(*w, cmds);
+  return crypto::Sha256::hash(w->buffer());
 }
 
 /// PRE-PREPARE's signed binding, and PREPARE's and COMMIT's: a phase tag
 /// over (view, seq, batch digest).
-Bytes vote_binding(std::string_view phase, ViewNum view, SeqNum seq,
-                   const Bytes& digest) {
-  serde::Writer w;
-  w.str(phase);
-  w.uvarint(view);
-  w.uvarint(seq);
-  w.bytes(digest);
-  return w.take();
+serde::ScratchWriter vote_binding(std::string_view phase, ViewNum view,
+                                  SeqNum seq, const crypto::Digest& digest) {
+  serde::ScratchWriter w;
+  w->str(phase);
+  w->uvarint(view);
+  w->uvarint(seq);
+  w->bytes(digest);
+  return w;
 }
 
 constexpr std::string_view kJournalKey = "pbft/journal";
@@ -63,7 +63,7 @@ struct PrePrepare {
 struct VoteBody {
   ViewNum view = 0;
   SeqNum seq = 0;
-  Bytes digest;
+  crypto::Digest digest{};
   crypto::Signature sig;
 
   void encode(serde::Writer& w) const {
@@ -76,7 +76,7 @@ struct VoteBody {
     VoteBody v;
     v.view = r.uvarint();
     v.seq = r.uvarint();
-    v.digest = r.bytes();
+    r.fixed(v.digest);
     v.sig = crypto::Signature::decode(r);
     return v;
   }
@@ -103,7 +103,8 @@ Bytes PbftReplica::encode_preprepare_for_test(
   pp.view = view;
   pp.seq = seq;
   pp.cmds = cmds;
-  pp.sig = signer.sign(vote_binding("pbft-pp", view, seq, batch_digest(cmds)));
+  pp.sig = signer.sign(
+      vote_binding("pbft-pp", view, seq, batch_digest(cmds)).buffer());
   return wire::encode_tagged(pp);
 }
 
@@ -129,8 +130,9 @@ void PbftReplica::propose(std::vector<Command> cmds) {
   pp.view = view_;
   pp.seq = next_propose_seq_++;
   pp.cmds = std::move(cmds);
-  Bytes digest = batch_digest(pp.cmds);
-  pp.sig = signer().sign(vote_binding("pbft-pp", pp.view, pp.seq, digest));
+  const crypto::Digest digest = batch_digest(pp.cmds);
+  pp.sig = signer().sign(
+      vote_binding("pbft-pp", pp.view, pp.seq, digest).buffer());
   // Journal before the broadcast can take effect: once any replica saw
   // this sequence number, we must never assign it again, restart or not.
   persist_journal();
@@ -140,7 +142,7 @@ void PbftReplica::propose(std::vector<Command> cmds) {
   ReplicaCore::Slot* open = open_slot(pp.seq);
   if (open == nullptr) return;
   Slot& slot = static_cast<Slot&>(*open);
-  slot.digest = std::move(digest);
+  slot.digest = digest;
   accept(pp.seq, slot, std::move(pp.cmds));
   step(pp.seq);
 }
@@ -149,18 +151,19 @@ void PbftReplica::handle_preprepare(ProcessId from, PrePrepare pp) {
   if (from == id() || pp.seq == 0) return;
   if (pp.cmds.empty()) return;  // an empty batch orders nothing
   if (pp.sig.key != world().key_of(from)) return;
-  Bytes digest = batch_digest(pp.cmds);
+  const crypto::Digest digest = batch_digest(pp.cmds);
   if (!world().keys().verify(
-          pp.sig, vote_binding("pbft-pp", pp.view, pp.seq, digest)))
+          pp.sig, vote_binding("pbft-pp", pp.view, pp.seq, digest).buffer()))
     return;
-  when_in_view(pp.view, [this, from, pp, digest]() {
+  const ViewNum view = pp.view;
+  when_in_view(view, [this, from, pp = std::move(pp), digest]() mutable {
     if (from != primary_of(view_)) return;
     ReplicaCore::Slot* open = open_slot(pp.seq);
     if (open == nullptr) return;
     Slot& slot = static_cast<Slot&>(*open);
     if (!slot.cmds.empty()) return;  // first pre-prepare per slot wins
     slot.digest = digest;
-    accept(pp.seq, slot, pp.cmds);
+    accept(pp.seq, slot, std::move(pp.cmds));
     for (const Command& cmd : slot.cmds) guard(cmd);
 
     if (!slot.sent_prepare) {
@@ -170,8 +173,8 @@ void PbftReplica::handle_preprepare(ProcessId from, PrePrepare pp) {
       v.view = view_;
       v.seq = pp.seq;
       v.digest = slot.digest;
-      v.sig = signer().sign(vote_binding("pbft-prepare", v.view, v.seq,
-                                         v.digest));
+      v.sig = signer().sign(
+          vote_binding("pbft-prepare", v.view, v.seq, v.digest).buffer());
       protocol_router_.broadcast(v);
     }
     step(pp.seq);
@@ -182,7 +185,8 @@ void PbftReplica::handle_prepare(ProcessId from, Prepare v) {
   if (from == id()) return;
   if (v.sig.key != world().key_of(from)) return;
   if (!world().keys().verify(
-          v.sig, vote_binding("pbft-prepare", v.view, v.seq, v.digest)))
+          v.sig,
+          vote_binding("pbft-prepare", v.view, v.seq, v.digest).buffer()))
     return;
   when_in_view(v.view, [this, from, v]() {
     if (from == primary_of(view_)) return;  // the primary never prepares
@@ -197,7 +201,8 @@ void PbftReplica::handle_commit(ProcessId from, Commit v) {
   if (from == id()) return;
   if (v.sig.key != world().key_of(from)) return;
   if (!world().keys().verify(
-          v.sig, vote_binding("pbft-commit", v.view, v.seq, v.digest)))
+          v.sig,
+          vote_binding("pbft-commit", v.view, v.seq, v.digest).buffer()))
     return;
   when_in_view(v.view, [this, from, v]() {
     ReplicaCore::Slot* slot = open_slot(v.seq);
@@ -224,8 +229,8 @@ void PbftReplica::step(SeqNum seq) {
     v.view = view_;
     v.seq = seq;
     v.digest = slot.digest;
-    v.sig = signer().sign(vote_binding("pbft-commit", v.view, v.seq,
-                                       v.digest));
+    v.sig = signer().sign(
+        vote_binding("pbft-commit", v.view, v.seq, v.digest).buffer());
     protocol_router_.broadcast(v);
   }
   try_execute();

@@ -62,11 +62,11 @@ class PbftReplica final : public ReplicaCore {
 
  private:
   struct Slot : ReplicaCore::Slot {
-    Bytes digest;  // the batch digest, as voted on
+    crypto::Digest digest{};  // the batch digest, as voted on
     bool sent_prepare = false;
     bool sent_commit = false;
-    std::map<Bytes, std::set<ProcessId>> prepares;  // digest -> voters
-    std::map<Bytes, std::set<ProcessId>> commits;
+    std::map<crypto::Digest, std::set<ProcessId>> prepares;  // digest -> voters
+    std::map<crypto::Digest, std::set<ProcessId>> commits;
   };
 
   // the ordering phase (see ReplicaCore)

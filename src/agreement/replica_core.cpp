@@ -53,7 +53,7 @@ struct Checkpoint {
   static constexpr wire::MsgDesc kDesc{1, "smr-checkpoint"};
 
   std::uint64_t executed = 0;
-  Bytes digest;
+  crypto::Digest digest{};
   crypto::Signature sig;
 
   void encode_body(serde::Writer& w) const {
@@ -67,7 +67,7 @@ struct Checkpoint {
   static Checkpoint decode(serde::Reader& r) {
     Checkpoint c;
     c.executed = r.uvarint();
-    c.digest = r.bytes();
+    r.fixed(c.digest);
     c.sig = crypto::Signature::decode(r);
     return c;
   }
@@ -179,11 +179,11 @@ struct StateReply {
 /// The signed binding of a shared message: the protocol's domain tag, then
 /// the message body.
 template <class M>
-Bytes binding(const std::string& tag, const M& m) {
-  serde::Writer w;
-  w.str(tag);
-  m.encode_body(w);
-  return w.take();
+serde::ScratchWriter binding(const std::string& tag, const M& m) {
+  serde::ScratchWriter w;
+  w->str(tag);
+  m.encode_body(*w);
+  return w;
 }
 
 }  // namespace replica_wire
@@ -332,15 +332,6 @@ void ReplicaCore::guard(const Command& cmd) {
   if (fresh) arm_request_deadline(it->second);
 }
 
-void ReplicaCore::when_in_view(ViewNum view, std::function<void()> action) {
-  if (view < view_) return;  // stale
-  if (view == view_ && !in_view_change_) {
-    action();
-    return;
-  }
-  view_waiting_[view].push_back(std::move(action));
-}
-
 void ReplicaCore::try_execute() {
   while (true) {
     auto it = slots_.find(next_exec_);
@@ -440,8 +431,8 @@ void ReplicaCore::maybe_checkpoint() {
   if (log_.size() % options_.checkpoint_interval != 0) return;
   Checkpoint cp;
   cp.executed = log_.size();
-  cp.digest = crypto::digest_bytes(machine_->digest());
-  cp.sig = signer().sign(binding(binding_tag("cp"), cp));
+  cp.digest = machine_->digest();
+  cp.sig = signer().sign(binding(binding_tag("cp"), cp).buffer());
   protocol_router_.broadcast(cp);
   // A checkpoint boundary is also the durability boundary: crash recovery
   // resumes from the image written here (see DESIGN.md §9).
@@ -451,12 +442,14 @@ void ReplicaCore::maybe_checkpoint() {
 
 void ReplicaCore::handle_checkpoint(ProcessId from, Checkpoint cp) {
   if (cp.sig.key != world().key_of(from)) return;
-  if (!world().keys().verify(cp.sig, binding(binding_tag("cp"), cp))) return;
+  if (!world().keys().verify(cp.sig, binding(binding_tag("cp"), cp).buffer()))
+    return;
   note_checkpoint_vote(cp.executed, cp.digest, from);
 }
 
 void ReplicaCore::note_checkpoint_vote(std::uint64_t executed,
-                                       const Bytes& digest, ProcessId voter) {
+                                       const crypto::Digest& digest,
+                                       ProcessId voter) {
   if (executed <= stable_checkpoint_) return;  // already stable
   auto& voters = cp_votes_[executed][digest];
   voters.insert(voter);
@@ -556,7 +549,7 @@ void ReplicaCore::start_view_change(ViewNum target) {
   // made it into a slot.
   vc.entries = vc_archive_.entries();
   for (const auto& [key, p] : pending_) vc.pending.push_back(p.cmd);
-  vc.sig = signer().sign(binding(binding_tag("vc"), vc));
+  vc.sig = signer().sign(binding(binding_tag("vc"), vc).buffer());
   protocol_router_.broadcast(vc);
   vc_msgs_[target][id()] = VcReport{vc.entries, vc.pending, vc.stable};
   maybe_assume_primacy(target);
@@ -599,7 +592,8 @@ void ReplicaCore::abandon_view_change() {
 void ReplicaCore::handle_view_change(ProcessId from, ViewChange vc) {
   if (vc.target <= view_) return;
   if (vc.sig.key != world().key_of(from)) return;
-  if (!world().keys().verify(vc.sig, binding(binding_tag("vc"), vc))) return;
+  if (!world().keys().verify(vc.sig, binding(binding_tag("vc"), vc).buffer()))
+    return;
   vc_msgs_[vc.target][from] =
       VcReport{std::move(vc.entries), std::move(vc.pending), vc.stable};
 
@@ -647,7 +641,7 @@ void ReplicaCore::maybe_assume_primacy(ViewNum target) {
   NewView nv;
   nv.target = target;
   nv.executed = log_.size();
-  nv.sig = signer().sign(binding(binding_tag("nv"), nv));
+  nv.sig = signer().sign(binding(binding_tag("nv"), nv).buffer());
   protocol_router_.broadcast(nv);
   enter_view(target);
 
@@ -720,7 +714,8 @@ void ReplicaCore::handle_new_view(ProcessId from, NewView nv) {
   if (nv.target <= view_) return;
   if (from != primary_of(nv.target)) return;
   if (nv.sig.key != world().key_of(from)) return;
-  if (!world().keys().verify(nv.sig, binding(binding_tag("nv"), nv))) return;
+  if (!world().keys().verify(nv.sig, binding(binding_tag("nv"), nv).buffer()))
+    return;
   exec_floor_ = std::max(exec_floor_, nv.executed);
   enter_view(nv.target);
   // Pending requests restart their deadlines under the new primary.
@@ -876,7 +871,7 @@ void ReplicaCore::handle_state_request(ProcessId from, StateRequest req) {
   rep.core.log = log_;
   rep.core.machine_snapshot = machine_->snapshot();
   rep.core.dedup = dedup_;
-  rep.sig = signer().sign(binding(binding_tag("state"), rep));
+  rep.sig = signer().sign(binding(binding_tag("state"), rep).buffer());
   protocol_router_.send(from, rep);
 }
 
@@ -885,7 +880,8 @@ void ReplicaCore::handle_state_reply(ProcessId from, StateReply rep) {
   // Signed by the responding replica: a Byzantine network cannot forge a
   // bundle, only replay one — and stale bundles are ignored below.
   if (rep.sig.key != world().key_of(from)) return;
-  if (!world().keys().verify(rep.sig, binding(binding_tag("state"), rep)))
+  if (!world().keys().verify(
+          rep.sig, binding(binding_tag("state"), rep).buffer()))
     return;
   install_bundle(rep);
 }

@@ -168,8 +168,17 @@ class ReplicaCore : public sim::Process {
   /// enter_view(view) if the view is in the future (or being changed to);
   /// drops it if the view is past. NEW-VIEW and the first proposals of a
   /// view race on an asynchronous network; without this, a replica that
-  /// sees a proposal first would silently lose it.
-  void when_in_view(ViewNum view, std::function<void()> action);
+  /// sees a proposal first would silently lose it. Only a buffered action
+  /// is type-erased (and so allocated).
+  template <class F>
+  void when_in_view(ViewNum view, F&& action) {
+    if (view < view_) return;  // stale
+    if (view == view_ && !in_view_change_) {
+      action();
+      return;
+    }
+    view_waiting_[view].emplace_back(std::forward<F>(action));
+  }
   /// Executes every committed slot at the cursor, then drops the slots the
   /// cursor has passed (never inside execute(), which holds a Slot&), then
   /// admits whatever the freed pipeline room lets through.
@@ -213,7 +222,8 @@ class ReplicaCore : public sim::Process {
   // checkpoints
   void maybe_checkpoint();
   void handle_checkpoint(ProcessId from, replica_wire::Checkpoint cp);
-  void note_checkpoint_vote(std::uint64_t executed, const Bytes& digest,
+  void note_checkpoint_vote(std::uint64_t executed,
+                            const crypto::Digest& digest,
                             ProcessId voter);
   /// Prunes the execution-log prefix, the view-change archive, and dead
   /// checkpoint votes below the stable checkpoint.
@@ -309,7 +319,8 @@ class ReplicaCore : public sim::Process {
 
   // Checkpoints.
   std::uint64_t stable_checkpoint_ = 0;
-  std::map<std::uint64_t, std::map<Bytes, std::set<ProcessId>>> cp_votes_;
+  std::map<std::uint64_t, std::map<crypto::Digest, std::set<ProcessId>>>
+      cp_votes_;
 
   // View change bookkeeping.
   struct VcReport {

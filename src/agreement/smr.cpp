@@ -50,10 +50,10 @@ namespace {
 
 crypto::Digest chain_step(const crypto::Digest& prev,
                           const ExecutionRecord& rec) {
-  serde::Writer w;
-  w.bytes(crypto::digest_bytes(prev));
-  rec.encode(w);
-  return crypto::Sha256::hash(w.take());
+  serde::ScratchWriter w;
+  w->bytes(prev);
+  rec.encode(*w);
+  return crypto::Sha256::hash(w->buffer());
 }
 
 }  // namespace
@@ -91,17 +91,14 @@ void ExecutionLog::prune_to(std::uint64_t count) {
 
 void ExecutionLog::encode(serde::Writer& w) const {
   w.uvarint(base_);
-  w.bytes(crypto::digest_bytes(base_digest_));
+  w.bytes(base_digest_);
   serde::write(w, records_);
 }
 
 ExecutionLog ExecutionLog::decode(serde::Reader& r) {
   ExecutionLog log;
   log.base_ = r.uvarint();
-  const Bytes digest = r.bytes();
-  if (digest.size() != crypto::kSha256DigestSize)
-    throw serde::DecodeError("ExecutionLog: bad base digest size");
-  log.base_digest_ = crypto::digest_from_bytes(digest);
+  r.fixed(log.base_digest_);
   log.records_ = serde::read<std::vector<ExecutionRecord>>(r);
   // The per-record chain is derived state: recompute instead of trusting
   // the wire.

@@ -95,7 +95,7 @@ Bytes EchoBroadcastEndpoint::echo_binding(ProcessId sender, SeqNum seq,
   w.str("echo-bcast");
   w.uvarint(sender);
   w.uvarint(seq);
-  w.bytes(crypto::digest_bytes(crypto::Sha256::hash(message)));
+  w.bytes(crypto::Sha256::hash(message));
   return w.take();
 }
 

@@ -40,8 +40,9 @@ std::uint64_t fnv1a64(ByteSpan data);
 
 /// Word-at-a-time 64-bit content fingerprint (FNV-style over 8-byte chunks
 /// with an avalanche finish) — ~8x fnv1a64's rate on verification-sized
-/// payloads. Non-cryptographic: used for the crypto verify memo, where a
-/// collision is tolerated (see KeyRegistry), never for authentication.
+/// payloads. Non-cryptographic, and easy to collide on purpose: the crypto
+/// verify memo uses it only to pick and pre-screen a slot, then compares
+/// the message itself (see KeyRegistry); never for authentication.
 std::uint64_t fingerprint64(ByteSpan data);
 
 }  // namespace unidir

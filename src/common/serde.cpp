@@ -1,8 +1,36 @@
 #include "common/serde.h"
 
+#include <bit>
+#include <cstring>
+
 namespace unidir::serde {
 
+namespace {
+// A uvarint occupies at most 10 bytes; reserving prefix + payload in one
+// step caps any length-prefixed append at a single reallocation.
+constexpr std::size_t kMaxVarintSize = 10;
+
+/// This thread's idle scratch writers.
+thread_local std::vector<std::unique_ptr<Writer>> t_scratch_pool;
+}  // namespace
+
+ScratchWriter::ScratchWriter() {
+  if (t_scratch_pool.empty()) {
+    w_ = std::make_unique<Writer>();
+  } else {
+    w_ = std::move(t_scratch_pool.back());
+    t_scratch_pool.pop_back();
+  }
+}
+
+ScratchWriter::~ScratchWriter() {
+  if (w_ == nullptr) return;  // moved from
+  w_->clear();
+  t_scratch_pool.push_back(std::move(w_));
+}
+
 void Writer::uvarint(std::uint64_t v) {
+  ensure((static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7);
   while (v >= 0x80) {
     out_.push_back(static_cast<std::uint8_t>(v) | 0x80);
     v >>= 7;
@@ -15,12 +43,6 @@ void Writer::svarint(std::int64_t v) {
   const auto u = static_cast<std::uint64_t>(v);
   uvarint((u << 1) ^ static_cast<std::uint64_t>(v >> 63));
 }
-
-namespace {
-// A uvarint occupies at most 10 bytes; reserving prefix + payload in one
-// step caps any length-prefixed append at a single reallocation.
-constexpr std::size_t kMaxVarintSize = 10;
-}  // namespace
 
 void Writer::bytes(ByteSpan data) {
   ensure(kMaxVarintSize + data.size());
@@ -35,6 +57,7 @@ void Writer::str(std::string_view s) {
 }
 
 void Writer::raw(ByteSpan data) {
+  ensure(data.size());
   out_.insert(out_.end(), data.begin(), data.end());
 }
 
@@ -83,8 +106,20 @@ Bytes Reader::bytes() {
 }
 
 std::string Reader::str() {
-  Bytes b = bytes();
-  return std::string(b.begin(), b.end());
+  const std::uint64_t n = uvarint();
+  need(static_cast<std::size_t>(n));
+  const auto* p = reinterpret_cast<const char*>(data_.data() + pos_);
+  pos_ += static_cast<std::size_t>(n);
+  return std::string(p, static_cast<std::size_t>(n));
+}
+
+void Reader::fixed(std::span<std::uint8_t> out) {
+  if (uvarint() != out.size())
+    throw DecodeError("fixed-size field: expected " +
+                      std::to_string(out.size()) + " byte(s)");
+  need(out.size());
+  std::memcpy(out.data(), data_.data() + pos_, out.size());
+  pos_ += out.size();
 }
 
 Bytes Reader::raw(std::size_t n) {

@@ -1,5 +1,7 @@
 #include "crypto/signature.h"
 
+#include <cstring>
+
 #include "common/check.h"
 
 namespace unidir::crypto {
@@ -19,15 +21,26 @@ Signer KeyRegistry::generate_key() {
   return Signer(this, id);
 }
 
-const Digest* KeyRegistry::true_mac(KeyId key, ByteSpan message) const {
+std::optional<Digest> KeyRegistry::true_mac(KeyId key,
+                                            ByteSpan message) const {
   auto it = keys_.find(key);
-  if (it == keys_.end()) return nullptr;
+  if (it == keys_.end()) return std::nullopt;
+  if (message.size() > kMemoBytes) {
+    ++stats_.macs;
+    return it->second.schedule.mac(message);
+  }
 
   const std::uint64_t fp = fingerprint64(message);
-  MemoEntry& slot = memo_[(fp ^ key * 0x9e3779b97f4a7c15ULL) & (kMemoSlots - 1)];
-  if (slot.key == key && slot.fingerprint == fp && slot.length == message.size()) {
+  const std::size_t index =
+      (fp ^ key * 0x9e3779b97f4a7c15ULL) & (kMemoSlots - 1);
+  MemoEntry& slot = memo_[index];
+  std::uint8_t* stored = memo_bytes_.get() + index * kMemoBytes;
+  if (slot.key == key && slot.fingerprint == fp &&
+      slot.length == message.size() &&
+      (message.empty() ||
+       std::memcmp(stored, message.data(), message.size()) == 0)) {
     ++stats_.memo_hits;
-    return &slot.mac;
+    return slot.mac;
   }
 
   ++stats_.macs;
@@ -35,20 +48,21 @@ const Digest* KeyRegistry::true_mac(KeyId key, ByteSpan message) const {
   slot.fingerprint = fp;
   slot.length = message.size();
   slot.mac = it->second.schedule.mac(message);
-  return &slot.mac;
+  if (!message.empty()) std::memcpy(stored, message.data(), message.size());
+  return slot.mac;
 }
 
 Signature KeyRegistry::sign_internal(KeyId key, ByteSpan message) const {
-  const Digest* mac = true_mac(key, message);
-  UNIDIR_CHECK_MSG(mac != nullptr, "signing with unknown key");
-  return Signature{key, Bytes(mac->begin(), mac->end())};
+  const std::optional<Digest> mac = true_mac(key, message);
+  UNIDIR_CHECK_MSG(mac.has_value(), "signing with unknown key");
+  return Signature{key, *mac};
 }
 
 bool KeyRegistry::verify(const Signature& sig, ByteSpan message) const {
   ++stats_.verifies;
-  const Digest* mac = true_mac(sig.key, message);
-  if (mac == nullptr) return false;
-  return constant_time_equal(ByteSpan(mac->data(), mac->size()), sig.mac);
+  const std::optional<Digest> mac = true_mac(sig.key, message);
+  if (!mac) return false;
+  return constant_time_equal(*mac, sig.mac);
 }
 
 Signature Signer::sign(ByteSpan message) const {

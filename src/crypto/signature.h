@@ -13,8 +13,9 @@
 //
 // Hot-path engineering: each key stores a precomputed HMAC schedule
 // (hmac.h), and verification runs through a small direct-mapped memo table
-// keyed by (key id, payload fingerprint). Broadcast protocols verify the
-// same certificate once per receiver; the memo collapses those repeats to a
+// of short messages, indexed by (key id, payload fingerprint) and confirmed
+// by comparing the stored message. Broadcast protocols verify the same
+// certificate once per receiver; the memo collapses those repeats to a
 // single HMAC computation. The registry is per-world, and worlds are
 // thread-confined, so the unsynchronized mutable cache is safe.
 //
@@ -25,6 +26,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "common/bytes.h"
@@ -40,7 +42,7 @@ using KeyId = std::uint64_t;
 /// A detached signature: which key signed, and the authenticator.
 struct Signature {
   KeyId key = 0;
-  Bytes mac;  // 32-byte HMAC-SHA256 tag
+  Digest mac{};  // HMAC-SHA256 tag
 
   bool operator==(const Signature&) const = default;
 
@@ -48,10 +50,11 @@ struct Signature {
     w.uvarint(key);
     w.bytes(mac);
   }
+  /// A tag of any length but 32 bytes is a DecodeError.
   static Signature decode(serde::Reader& r) {
     Signature s;
     s.key = r.uvarint();
-    s.mac = r.bytes();
+    r.fixed(s.mac);
     return s;
   }
 };
@@ -95,12 +98,14 @@ class KeyRegistry {
     HmacKey schedule;
   };
 
-  // Direct-mapped memo of true MACs, keyed by (key, payload fingerprint,
-  // length). A fingerprint collision could only make verify() return a
-  // wrong answer if two distinct messages of equal length collided under
-  // fingerprint64 *and* were checked against the same key — at ~2^-64 per
-  // pair we accept that in a simulator. The table is bounded: a new entry
-  // simply evicts whatever shared its slot.
+  // Direct-mapped memo of true MACs over messages of up to kMemoBytes,
+  // slotted by (key, payload fingerprint). fingerprint64 is not
+  // collision-resistant: a peer can solve for a same-length message with
+  // an honest message's fingerprint. So a hit also compares the message
+  // itself, which the slot stores in memo_bytes_; the fingerprint only
+  // rejects misses cheaply. Longer messages (view changes, state replies)
+  // bypass the memo. The table is bounded: a new entry simply evicts
+  // whatever shared its slot.
   struct MemoEntry {
     KeyId key = 0;  // 0 = empty (key ids start at 1)
     std::uint64_t fingerprint = 0;
@@ -108,17 +113,25 @@ class KeyRegistry {
     Digest mac{};
   };
   static constexpr std::size_t kMemoSlots = 1024;  // power of two
+  // Every signed binding on the protocols' hot paths (votes, checkpoints,
+  // enclave reports) encodes to under 64 bytes.
+  static constexpr std::size_t kMemoBytes = 64;
 
   Signature sign_internal(KeyId key, ByteSpan message) const;
 
-  /// True MAC for (key, message), memoized. Null if the key is unknown.
-  const Digest* true_mac(KeyId key, ByteSpan message) const;
+  /// True MAC for (key, message), memoized. Empty if the key is unknown.
+  std::optional<Digest> true_mac(KeyId key, ByteSpan message) const;
 
   std::unordered_map<KeyId, KeyMaterial> keys_;
   KeyId next_key_ = 1;
   std::uint64_t seed_counter_ = 0x9e3779b97f4a7c15ULL;
 
   mutable std::array<MemoEntry, kMemoSlots> memo_{};
+  /// Slot i's message is bytes [i * kMemoBytes, i * kMemoBytes + length).
+  /// Left uninitialized: only bytes a filled slot wrote are ever read, and
+  /// a registry is built per world.
+  std::unique_ptr<std::uint8_t[]> memo_bytes_{
+      std::make_unique_for_overwrite<std::uint8_t[]>(kMemoSlots * kMemoBytes)};
   mutable VerifyStats stats_;
 };
 

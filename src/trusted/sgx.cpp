@@ -5,12 +5,17 @@
 
 namespace unidir::trusted {
 
-Bytes SealedOutput::report_bytes(const Bytes& output) {
-  serde::Writer w;
-  w.str("sgx-report");
-  w.bytes(output);
-  return w.take();
+namespace {
+
+/// What the attestation key signs: the output under a domain tag.
+serde::ScratchWriter report_binding(ByteSpan output) {
+  serde::ScratchWriter w;
+  w->str("sgx-report");
+  w->bytes(output);
+  return w;
 }
+
+}  // namespace
 
 SgxEnclave::SgxEnclave(crypto::KeyRegistry& keys, Program program,
                        Bytes initial_state)
@@ -23,14 +28,14 @@ SgxEnclave::SgxEnclave(crypto::KeyRegistry& keys, Program program,
 SealedOutput SgxEnclave::call(const Bytes& input) {
   SealedOutput out;
   out.output = program_(state_, input);
-  out.sig = key_.sign(SealedOutput::report_bytes(out.output));
+  out.sig = key_.sign(report_binding(out.output).buffer());
   return out;
 }
 
 bool SgxEnclave::verify(const crypto::KeyRegistry& keys, crypto::KeyId key,
-                        const SealedOutput& out) {
-  if (out.sig.key != key) return false;
-  return keys.verify(out.sig, SealedOutput::report_bytes(out.output));
+                        ByteSpan output, const crypto::Signature& sig) {
+  if (sig.key != key) return false;
+  return keys.verify(sig, report_binding(output).buffer());
 }
 
 }  // namespace unidir::trusted

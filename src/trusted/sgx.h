@@ -23,12 +23,10 @@
 namespace unidir::trusted {
 
 /// Output of an enclave call: the program's result plus the enclave
-/// signature binding it. Verifiers check sig over report_bytes(output).
+/// signature binding it: sig covers the output under an "sgx-report" tag.
 struct SealedOutput {
   Bytes output;
   crypto::Signature sig;
-
-  static Bytes report_bytes(const Bytes& output);
 };
 
 class SgxEnclave {
@@ -45,9 +43,10 @@ class SgxEnclave {
   /// The enclave's attestation key id (public; used to verify outputs).
   crypto::KeyId attestation_key() const { return key_.key(); }
 
-  /// Verifies that `out` was produced by the enclave with key `key`.
+  /// Verifies that `sig` attests `output` as produced by the enclave with
+  /// key `key` (a SealedOutput's two fields).
   static bool verify(const crypto::KeyRegistry& keys, crypto::KeyId key,
-                     const SealedOutput& out);
+                     ByteSpan output, const crypto::Signature& sig);
 
   // -- sealed-storage export (crash-recovery model) -------------------------
   // Real SGX seals state to disk encrypted under a key derived from the

@@ -7,11 +7,12 @@ namespace unidir::trusted {
 
 namespace {
 
-Bytes ui_output_bytes(SeqNum counter, const crypto::Digest& digest) {
-  serde::Writer w;
-  w.uvarint(counter);
-  w.bytes(crypto::digest_bytes(digest));
-  return w.take();
+/// The enclave's output for one UI: (counter, digest).
+serde::ScratchWriter ui_output(SeqNum counter, const crypto::Digest& digest) {
+  serde::ScratchWriter w;
+  w->uvarint(counter);
+  w->bytes(digest);
+  return w;
 }
 
 /// The enclave program: sealed state is the varint-encoded counter; each
@@ -20,14 +21,14 @@ Bytes usig_program(Bytes& state, const Bytes& input) {
   const auto counter = serde::decode<SeqNum>(state) + 1;
   state = serde::encode(counter);
   // Input is the raw 32-byte digest computed at the call boundary.
-  return ui_output_bytes(counter, crypto::digest_from_bytes(input));
+  return ui_output(counter, crypto::digest_from_bytes(input)).buffer();
 }
 
 }  // namespace
 
 void UniqueIdentifier::encode(serde::Writer& w) const {
   w.uvarint(counter);
-  w.bytes(crypto::digest_bytes(digest));
+  w.bytes(digest);
   sig.encode(w);
 }
 
@@ -35,12 +36,8 @@ UniqueIdentifier UniqueIdentifier::decode(serde::Reader& r) {
   UniqueIdentifier ui;
   ui.counter = r.uvarint();
   // Runs at the wire decode boundary on attacker-controlled bytes: a bad
-  // digest length must surface as DecodeError (counted, dropped), not as
-  // digest_from_bytes's invalid_argument.
-  const Bytes digest = r.bytes();
-  if (digest.size() != crypto::kSha256DigestSize)
-    throw serde::DecodeError("UniqueIdentifier: bad digest size");
-  ui.digest = crypto::digest_from_bytes(digest);
+  // digest length is a DecodeError (counted, dropped).
+  r.fixed(ui.digest);
   ui.sig = crypto::Signature::decode(r);
   return ui;
 }
@@ -55,7 +52,7 @@ UniqueIdentifier UsigEnclave::create_ui(const Bytes& message) {
   ui.counter = ++last_;
   ui.digest = digest;
   ui.sig = out.sig;
-  UNIDIR_CHECK_MSG(out.output == ui_output_bytes(ui.counter, digest),
+  UNIDIR_CHECK_MSG(out.output == ui_output(ui.counter, digest).buffer(),
                    "USIG mirror desynchronized from enclave");
   // Persist BEFORE returning: the caller only gets (and can only send) the
   // UI after the advanced counter reached the nvram sink.
@@ -77,10 +74,8 @@ bool UsigEnclave::verify_ui(const crypto::KeyRegistry& keys,
                             crypto::KeyId key, const UniqueIdentifier& ui,
                             const Bytes& message) {
   if (crypto::Sha256::hash(message) != ui.digest) return false;
-  SealedOutput out;
-  out.output = ui_output_bytes(ui.counter, ui.digest);
-  out.sig = ui.sig;
-  return SgxEnclave::verify(keys, key, out);
+  return SgxEnclave::verify(
+      keys, key, ui_output(ui.counter, ui.digest).buffer(), ui.sig);
 }
 
 }  // namespace unidir::trusted

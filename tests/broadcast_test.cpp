@@ -103,7 +103,7 @@ TEST(SrbHub, SpoofedWireMessagesRejected) {
   w.bytes(bytes_of("fake"));
   crypto::Signature bogus;
   bogus.key = fx.world.key_of(2);
-  bogus.mac = Bytes(32, 0xAB);
+  bogus.mac.fill(0xAB);
   bogus.encode(w);
   fx.nodes[2]->broadcast(kSrbCh, w.take());
   fx.world.run_to_quiescence();

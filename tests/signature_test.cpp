@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -49,7 +50,7 @@ TEST(Signature, RejectsUnknownKey) {
   KeyRegistry registry;
   Signature sig;
   sig.key = 999;
-  sig.mac = Bytes(32, 0);
+  sig.mac = {};
   EXPECT_FALSE(registry.verify(sig, bytes_of("m")));
 }
 
@@ -181,6 +182,46 @@ TEST(Signature, MemoSeparatesKeysForTheSameMessage) {
   relabelled.key = bob.key();
   EXPECT_FALSE(registry.verify(relabelled, msg));
   EXPECT_EQ(registry.verify_stats().macs, macs);
+}
+
+/// fingerprint64's running state after the first `words` aligned 8-byte
+/// words of `data`: its seed and word loop, without the tail or finalizer.
+std::uint64_t fingerprint_state(const Bytes& data, std::size_t words) {
+  std::uint64_t h =
+      0xCBF29CE484222325ULL ^ (data.size() * 0x9E3779B97F4A7C15ULL);
+  for (std::size_t i = 0; i < words; ++i) {
+    std::uint64_t w;
+    std::memcpy(&w, data.data() + 8 * i, 8);
+    h = (h ^ w) * 0x100000001B3ULL;
+    h ^= h >> 29;
+  }
+  return h;
+}
+
+TEST(Signature, MemoRejectsAForgedFingerprintCollision) {
+  // fingerprint64 is invertible word by word, so a peer can solve for a
+  // different message of the same length and fingerprint as an honest one.
+  // Presenting the honest MAC with it must fail although the honest
+  // message's entry sits in the memo.
+  KeyRegistry registry;
+  const Signer signer = registry.generate_key();
+  Bytes original(48);
+  for (std::size_t i = 0; i < original.size(); ++i)
+    original[i] = static_cast<std::uint8_t>(i);
+  const Signature sig = signer.sign(original);
+
+  Bytes forged = original;
+  for (std::size_t i = 0; i < 40; ++i) forged[i] ^= 0x5A;  // five words
+  // Solve the last word so the running states meet again.
+  std::uint64_t last;
+  std::memcpy(&last, original.data() + 40, 8);
+  last ^= fingerprint_state(original, 5) ^ fingerprint_state(forged, 5);
+  std::memcpy(forged.data() + 40, &last, 8);
+  ASSERT_NE(forged, original);
+  ASSERT_EQ(fingerprint64(forged), fingerprint64(original));
+
+  EXPECT_TRUE(registry.verify(sig, original));
+  EXPECT_FALSE(registry.verify(sig, forged));
 }
 
 }  // namespace

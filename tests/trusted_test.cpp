@@ -312,11 +312,13 @@ TEST(SgxEnclave, OutputsAreAttested) {
   SgxEnclave enclave(
       keys, [](Bytes&, const Bytes& in) { return in; }, {});
   const SealedOutput out = enclave.call(bytes_of("echo"));
-  EXPECT_TRUE(SgxEnclave::verify(keys, enclave.attestation_key(), out));
+  EXPECT_TRUE(
+      SgxEnclave::verify(keys, enclave.attestation_key(), out.output, out.sig));
 
   SealedOutput forged = out;
   forged.output = bytes_of("not echo");
-  EXPECT_FALSE(SgxEnclave::verify(keys, enclave.attestation_key(), forged));
+  EXPECT_FALSE(SgxEnclave::verify(keys, enclave.attestation_key(),
+                                  forged.output, forged.sig));
 }
 
 TEST(SgxEnclave, DistinctEnclavesDistinctKeys) {
@@ -326,7 +328,8 @@ TEST(SgxEnclave, DistinctEnclavesDistinctKeys) {
   SgxEnclave b(keys, echo, {});
   EXPECT_NE(a.attestation_key(), b.attestation_key());
   const SealedOutput out = a.call(bytes_of("m"));
-  EXPECT_FALSE(SgxEnclave::verify(keys, b.attestation_key(), out));
+  EXPECT_FALSE(
+      SgxEnclave::verify(keys, b.attestation_key(), out.output, out.sig));
 }
 
 // ---- USIG -----------------------------------------------------------------------
