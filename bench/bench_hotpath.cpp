@@ -50,9 +50,11 @@
 // Flags:
 //   --smoke          fewer throughput rounds and sweep seeds (CI-sized)
 //   --check          exit 1 if a calibrated rate < (1 - 0.20) * baseline,
-//                    or a latency percentile > (1 + 0.25) * baseline
-//   --baseline PATH  baseline JSON (default bench/baseline_hotpath.json,
-//                    looked up relative to the current directory)
+//                    or a latency percentile > (1 + 0.25) * baseline; exits
+//                    1 before phase 1 if the baseline cannot be read or
+//                    lacks a gated key
+//   --baseline PATH  baseline JSON (default: bench/baseline_hotpath.json
+//                    in the source tree, so any working directory works)
 //   --out PATH       report path (default BENCH_hotpath.json)
 //   --trace-out PATH Chrome-trace JSON of one traced seed-1 run
 //                    (default BENCH_trace.json)
@@ -62,6 +64,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -94,6 +98,17 @@ constexpr double kBatchSpeedupFloor = 3.0;
 /// so the gate has no machine noise to absorb; 25% still leaves room for
 /// intentional protocol tuning without a baseline bump.
 constexpr double kLatencyTolerance = 0.25;
+
+/// The baseline keys --check gates on: calibrated rates (a drop is a
+/// regression) and virtual-tick latency percentiles (a rise is one).
+/// --check refuses to start unless the baseline holds each with a positive
+/// value, so no gate can pass by having nothing to compare against.
+constexpr const char* kRateGateKeys[] = {
+    "events_per_calib", "batch_req_per_calib_b1", "batch_req_per_calib_b16"};
+constexpr const char* kLatencyGateKeys[] = {
+    "commit_latency_p50_ticks", "commit_latency_p95_ticks",
+    "commit_latency_p99_ticks", "client_latency_p50_ticks",
+    "client_latency_p95_ticks", "client_latency_p99_ticks"};
 
 ScenarioSpec hotpath_spec(std::uint64_t seed) {
   ScenarioSpec s;
@@ -479,7 +494,7 @@ BatchSweepResult measure_batching(bool smoke) {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool check = false;
-  std::string baseline_path = "bench/baseline_hotpath.json";
+  std::string baseline_path = UNIDIR_HOTPATH_BASELINE;
   std::string out_path = "BENCH_hotpath.json";
   std::string trace_out_path = "BENCH_trace.json";
   std::string curve_out_path = "BENCH_batch_curve.json";
@@ -523,9 +538,24 @@ int main(int argc, char** argv) {
       ss << in.rdbuf();
       baseline_text = ss.str();
       baseline_epc = json_number(baseline_text, "events_per_calib", 0);
+    } else if (check) {
+      std::fprintf(stderr, "FAIL: --check needs the baseline, and %s "
+                   "cannot be read\n", baseline_path.c_str());
+      return 1;
     } else {
       std::fprintf(stderr, "note: baseline %s not found; speedup omitted\n",
                    baseline_path.c_str());
+    }
+  }
+  if (check) {
+    using Keys = std::span<const char* const>;
+    for (const Keys keys : {Keys(kRateGateKeys), Keys(kLatencyGateKeys)}) {
+      for (const char* key : keys) {
+        if (json_number(baseline_text, key, 0) > 0) continue;
+        std::fprintf(stderr, "FAIL: baseline %s lacks a positive \"%s\"; "
+                     "--check cannot gate on it\n", baseline_path.c_str(), key);
+        return 1;
+      }
     }
   }
 
@@ -746,52 +776,37 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    // Wall-clock rates, each per calibration pass (see the header).
-    struct RateGate {
-      const char* key;
-      double current;
-    };
-    const RateGate rate_gates[] = {
-        {"events_per_calib", tp.events_per_calib},
-        {"batch_req_per_calib_b1", bt.req_per_calib_b1},
-        {"batch_req_per_calib_b16", bt.req_per_calib_b16},
-    };
-    for (const RateGate& g : rate_gates) {
-      const double base = json_number(baseline_text, g.key, 0);
-      if (base <= 0) continue;  // no baseline file, or it lacks this rate
-      if (g.current < (1.0 - kRegressionTolerance) * base) {
+    // Wall-clock rates, each per calibration pass (see the header), in
+    // kRateGateKeys order.
+    const double rates[] = {tp.events_per_calib, bt.req_per_calib_b1,
+                            bt.req_per_calib_b16};
+    static_assert(std::size(rates) == std::size(kRateGateKeys));
+    for (std::size_t k = 0; k < std::size(rates); ++k) {
+      const double base = json_number(baseline_text, kRateGateKeys[k], 0);
+      if (rates[k] < (1.0 - kRegressionTolerance) * base) {
         std::fprintf(stderr,
                      "FAIL: %s regressed >%.0f%% vs baseline "
                      "(%.0f < %.0f)\n",
-                     g.key, 100.0 * kRegressionTolerance, g.current,
+                     kRateGateKeys[k], 100.0 * kRegressionTolerance, rates[k],
                      (1.0 - kRegressionTolerance) * base);
         return 1;
       }
     }
-  }
-  if (check && !baseline_text.empty()) {
-    struct LatencyGate {
-      const char* key;
-      std::uint64_t current;
-    };
-    const LatencyGate gates[] = {
-        {"commit_latency_p50_ticks", tp.commit_latency.quantile(0.50)},
-        {"commit_latency_p95_ticks", tp.commit_latency.quantile(0.95)},
-        {"commit_latency_p99_ticks", tp.commit_latency.quantile(0.99)},
-        {"client_latency_p50_ticks", tp.client_latency.quantile(0.50)},
-        {"client_latency_p95_ticks", tp.client_latency.quantile(0.95)},
-        {"client_latency_p99_ticks", tp.client_latency.quantile(0.99)},
-    };
-    for (const LatencyGate& g : gates) {
-      const double base = json_number(baseline_text, g.key, 0);
-      if (base <= 0) continue;  // baseline predates latency accounting
-      if (static_cast<double>(g.current) >
+    // Virtual-tick latency percentiles, in kLatencyGateKeys order.
+    const std::uint64_t latencies[] = {
+        tp.commit_latency.quantile(0.50), tp.commit_latency.quantile(0.95),
+        tp.commit_latency.quantile(0.99), tp.client_latency.quantile(0.50),
+        tp.client_latency.quantile(0.95), tp.client_latency.quantile(0.99)};
+    static_assert(std::size(latencies) == std::size(kLatencyGateKeys));
+    for (std::size_t k = 0; k < std::size(latencies); ++k) {
+      const double base = json_number(baseline_text, kLatencyGateKeys[k], 0);
+      if (static_cast<double>(latencies[k]) >
           (1.0 + kLatencyTolerance) * base) {
         std::fprintf(stderr,
                      "FAIL: %s regressed >%.0f%% vs baseline "
                      "(%llu > %.0f)\n",
-                     g.key, 100.0 * kLatencyTolerance,
-                     static_cast<unsigned long long>(g.current),
+                     kLatencyGateKeys[k], 100.0 * kLatencyTolerance,
+                     static_cast<unsigned long long>(latencies[k]),
                      (1.0 + kLatencyTolerance) * base);
         return 1;
       }

@@ -261,9 +261,9 @@ void RealRuntime::enqueue_local(Incoming in) {
 // ---- outbound batching -----------------------------------------------------
 
 void RealRuntime::stage_or_send(std::uint64_t addr, Bytes frame) {
-  if (!on_loop() || !options_.use_sendmmsg) {
-    // Not on the loop thread (pre-run or foreign sends), or batching is
-    // off: one syscall now, full failure accounting either way.
+  if (!on_loop()) {
+    // Not on the loop thread (pre-run or foreign sends): one syscall now,
+    // with the same failure accounting as a flush.
     send_now(addr, frame);
     return;
   }
@@ -287,52 +287,44 @@ void RealRuntime::send_now(std::uint64_t addr, const Bytes& frame) {
 
 void RealRuntime::flush_sends() {
   if (send_queue_.empty()) return;
-#if defined(__linux__)
-  if (options_.use_sendmmsg) {
-    // Scratch is thread_local (each loop is its own thread) so the header
-    // stays free of socket types and the hot path free of allocs.
-    static thread_local std::vector<mmsghdr> msgs;
-    static thread_local std::vector<iovec> iovs;
-    static thread_local std::vector<sockaddr_in> addrs;
-    std::size_t i = 0;
-    while (i < send_queue_.size()) {
-      const std::size_t n = std::min(send_queue_.size() - i, kSendBatch);
-      msgs.assign(n, mmsghdr{});
-      iovs.resize(n);
-      addrs.resize(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        PendingSend& p = send_queue_[i + k];
-        addrs[k] = unpack_addr(p.addr);
-        iovs[k].iov_base = p.frame.data();
-        iovs[k].iov_len = p.frame.size();
-        msgs[k].msg_hdr.msg_name = &addrs[k];
-        msgs[k].msg_hdr.msg_namelen = sizeof(sockaddr_in);
-        msgs[k].msg_hdr.msg_iov = &iovs[k];
-        msgs[k].msg_hdr.msg_iovlen = 1;
-      }
-      send_syscalls_.fetch_add(1, std::memory_order_relaxed);
-      const int sent =
-          ::sendmmsg(fd_, msgs.data(), static_cast<unsigned>(n), 0);
-      if (sent <= 0) {
-        // sendmmsg fails (-1) only when the FIRST datagram is rejected;
-        // count that one, skip it, and keep flushing the rest. A mid-batch
-        // rejection surfaces as a short count here and as the -1 of the
-        // next iteration's first slot — so every loss is counted exactly
-        // once, never attributed to frames_sent_.
-        frames_send_failed_.fetch_add(1, std::memory_order_relaxed);
-        note_send_failure(sent < 0 ? errno : EIO);
-        ++i;
-        continue;
-      }
-      frames_sent_.fetch_add(static_cast<std::uint64_t>(sent),
-                             std::memory_order_relaxed);
-      i += static_cast<std::size_t>(sent);
+  // Scratch is thread_local (each loop is its own thread) so the header
+  // stays free of socket types and the hot path free of allocs.
+  static thread_local std::vector<mmsghdr> msgs;
+  static thread_local std::vector<iovec> iovs;
+  static thread_local std::vector<sockaddr_in> addrs;
+  std::size_t i = 0;
+  while (i < send_queue_.size()) {
+    const std::size_t n = std::min(send_queue_.size() - i, kSendBatch);
+    msgs.assign(n, mmsghdr{});
+    iovs.resize(n);
+    addrs.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      PendingSend& p = send_queue_[i + k];
+      addrs[k] = unpack_addr(p.addr);
+      iovs[k].iov_base = p.frame.data();
+      iovs[k].iov_len = p.frame.size();
+      msgs[k].msg_hdr.msg_name = &addrs[k];
+      msgs[k].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+      msgs[k].msg_hdr.msg_iov = &iovs[k];
+      msgs[k].msg_hdr.msg_iovlen = 1;
     }
-    send_queue_.clear();
-    return;
+    send_syscalls_.fetch_add(1, std::memory_order_relaxed);
+    const int sent = ::sendmmsg(fd_, msgs.data(), static_cast<unsigned>(n), 0);
+    if (sent <= 0) {
+      // sendmmsg fails (-1) only when the FIRST datagram is rejected;
+      // count that one, skip it, and keep flushing the rest. A mid-batch
+      // rejection surfaces as a short count here and as the -1 of the
+      // next iteration's first slot — so every loss is counted exactly
+      // once, never attributed to frames_sent_.
+      frames_send_failed_.fetch_add(1, std::memory_order_relaxed);
+      note_send_failure(sent < 0 ? errno : EIO);
+      ++i;
+      continue;
+    }
+    frames_sent_.fetch_add(static_cast<std::uint64_t>(sent),
+                           std::memory_order_relaxed);
+    i += static_cast<std::size_t>(sent);
   }
-#endif
-  for (const PendingSend& p : send_queue_) send_now(p.addr, p.frame);
   send_queue_.clear();
 }
 
@@ -385,8 +377,6 @@ void RealRuntime::receive_loop() {
   auto slot = [&slab](std::size_t k) {
     return slab.get() + k * kRecvBufBytes;
   };
-  std::array<std::size_t, kRecvBatch> lens{};
-#if defined(__linux__)
   std::array<mmsghdr, kRecvBatch> msgs{};
   std::array<iovec, kRecvBatch> iovs{};
   for (std::size_t k = 0; k < kRecvBatch; ++k) {
@@ -395,32 +385,14 @@ void RealRuntime::receive_loop() {
     msgs[k].msg_hdr.msg_iov = &iovs[k];
     msgs[k].msg_hdr.msg_iovlen = 1;
   }
-#endif
   std::vector<Incoming> burst;
   burst.reserve(kRecvBatch);
   while (!stopped()) {
-    int got = 0;
-#if defined(__linux__)
-    if (options_.use_recvmmsg) {
-      // Block (bounded by SO_RCVTIMEO) for the first datagram, then take
-      // whatever else is already queued — one syscall per burst.
-      got = ::recvmmsg(fd_, msgs.data(), static_cast<unsigned>(kRecvBatch),
-                       MSG_WAITFORONE, nullptr);
-      if (got > 0)
-        for (int k = 0; k < got; ++k) lens[static_cast<std::size_t>(k)] =
-            msgs[static_cast<std::size_t>(k)].msg_len;
-    } else
-#endif
-    {
-      const ssize_t n =
-          ::recvfrom(fd_, slot(0), kRecvBufBytes, 0, nullptr, nullptr);
-      if (n < 0) {
-        got = -1;
-      } else {
-        lens[0] = static_cast<std::size_t>(n);
-        got = 1;
-      }
-    }
+    // Block (bounded by SO_RCVTIMEO) for the first datagram, then take
+    // whatever else is already queued — one syscall per burst.
+    const int got = ::recvmmsg(fd_, msgs.data(),
+                               static_cast<unsigned>(kRecvBatch),
+                               MSG_WAITFORONE, nullptr);
     if (got < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
         recv_timeouts_.fetch_add(1, std::memory_order_relaxed);
@@ -437,7 +409,7 @@ void RealRuntime::receive_loop() {
     if (got == 0) continue;
     recv_syscalls_.fetch_add(1, std::memory_order_relaxed);
     for (std::size_t k = 0; k < static_cast<std::size_t>(got); ++k) {
-      auto frame = decode_frame(ByteSpan(slot(k), lens[k]));
+      auto frame = decode_frame(ByteSpan(slot(k), msgs[k].msg_len));
       if (!frame) {
         frames_malformed_.fetch_add(1, std::memory_order_relaxed);
         continue;

@@ -7,10 +7,10 @@
 // thread-confinement contract the simulator gives. To use more cores, run
 // more runtimes (one per replica, as perfbench and minbft_kv do). A
 // socket-bound runtime also owns one receiver thread that drains datagram
-// BURSTS — recvmmsg, up to kRecvBatch per syscall, with a portable
-// recvfrom fallback behind the same interface — decodes frames
+// BURSTS — recvmmsg, up to kRecvBatch per syscall — decodes frames
 // (runtime/frame.h) and hands each burst to the loop's inbox under one
-// lock acquisition.
+// lock acquisition. The backend is Linux-only: recvmmsg/sendmmsg are the
+// one socket path.
 //
 // Signature verification runs inline on the loop thread.
 //
@@ -70,7 +70,7 @@ struct UdpTransportStats {
   std::uint64_t frames_corrupt_tx = 0;   // datagrams mangled before sendto
   std::uint64_t frames_send_failed = 0;  // sendto/sendmmsg kernel rejections
   std::uint64_t frames_oversized = 0;    // refused at encode: > max_datagram
-  std::uint64_t recv_syscalls = 0;       // recvmmsg/recvfrom that returned data
+  std::uint64_t recv_syscalls = 0;       // recvmmsg calls that returned data
   std::uint64_t recv_timeouts = 0;       // receive wakeups with nothing to read
   std::uint64_t send_syscalls = 0;       // sendmmsg/sendto calls (incl. failed)
   bool receiver_dead = false;            // receive loop hit an unexpected errno
@@ -111,13 +111,6 @@ struct RealRuntimeOptions {
   /// Remote id → address table. May also be filled after construction with
   /// add_peer(), as long as it happens before the loop runs.
   std::vector<Peer> peers;
-
-  /// false: use the portable one-datagram recvfrom / sendto path even
-  /// where recvmmsg/sendmmsg exist. The two receive paths are
-  /// frame-for-frame equivalent (tested); the flag exists for that test
-  /// and for debugging.
-  bool use_recvmmsg = true;
-  bool use_sendmmsg = true;
 
   /// Largest encoded frame handed to the socket. Anything bigger is
   /// refused at encode time and counted as frames_oversized (WARN-once per

@@ -384,98 +384,145 @@ TEST(RealTimeReceiverDeath, DeadReceiverRaisesTheFlagInsteadOfServingDeaf) {
   EXPECT_TRUE(rt.udp_stats().receiver_dead);
 }
 
-// ---- batched receive equivalence -------------------------------------------
+// ---- batched receive --------------------------------------------------------
 
-TEST(RealTimeBatchedReceive, MmsgAndPortablePathsDeliverIdentically) {
-  // Same sender, same frame sequence, two receivers — one draining bursts
-  // with recvmmsg, one on the single-datagram recvfrom fallback. Loopback
-  // UDP preserves per-socket order, so both must deliver the SAME
-  // (from, to, channel, payload) sequence, byte for byte: the batch path
-  // may change syscall economics, never what the protocol sees. 64 frames
-  // are two full recvmmsg bursts' worth, so slot reuse across bursts is
-  // covered too.
-  using Delivered = std::tuple<ProcessId, ProcessId, Channel, Bytes>;
-  constexpr std::size_t kFrames = 64;
+/// A socket-bound runtime whose one local process records every delivery
+/// as (from, channel, payload). run() drives its loop on its own thread
+/// until `want` frames were delivered or rejected as malformed, or 30 s
+/// passed; join() waits for it.
+class RecordingReceiver {
+ public:
+  using Delivered = std::tuple<ProcessId, Channel, Bytes>;
+  static constexpr ProcessId kLocal = 1;
 
-  auto make_rx = [](bool mmsg, ProcessId local,
-                    std::vector<Delivered>* got,
-                    std::atomic<std::size_t>* count) {
+  RecordingReceiver() : rt_(listen_options()) {
+    rt_.transport().set_local([](ProcessId p) { return p == kLocal; });
+    rt_.transport().set_deliver([this](ProcessId from, ProcessId, Channel ch,
+                                       const Payload& payload) {
+      // Runs on the loop thread; the test reads got() only after join().
+      got_.emplace_back(from, ch,
+                        Bytes(payload.bytes().begin(), payload.bytes().end()));
+      count_.fetch_add(1, std::memory_order_release);
+    });
+  }
+  RecordingReceiver(const RecordingReceiver&) = delete;
+  RecordingReceiver& operator=(const RecordingReceiver&) = delete;
+  ~RecordingReceiver() {
+    if (loop_.joinable()) join();
+  }
+
+  std::uint16_t port() const { return rt_.bound_port(); }
+  std::size_t delivered() const {
+    return count_.load(std::memory_order_acquire);
+  }
+
+  void run(std::size_t want) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    loop_ = std::thread([this, want, deadline] {
+      rt_.run_until(
+          [&] {
+            return delivered() + rt_.udp_stats().frames_malformed >=
+                       want ||
+                   std::chrono::steady_clock::now() > deadline;
+          },
+          SIZE_MAX);
+    });
+  }
+  void join() { loop_.join(); }
+
+  const std::vector<Delivered>& got() const { return got_; }
+  runtime::UdpTransportStats udp_stats() const { return rt_.udp_stats(); }
+
+ private:
+  static RealRuntimeOptions listen_options() {
     RealRuntimeOptions o;
     o.listen = "127.0.0.1:0";
-    o.use_recvmmsg = mmsg;
-    auto rt = std::make_unique<RealRuntime>(o);
-    rt->transport().set_local([local](ProcessId p) { return p == local; });
-    rt->transport().set_deliver([got, count](ProcessId from, ProcessId to,
-                                             Channel ch,
-                                             const Payload& payload) {
-      // Runs on the single loop thread; the test thread only reads the
-      // vector after stop() + thread join.
-      got->emplace_back(from, to, ch,
-                        Bytes(payload.bytes().begin(), payload.bytes().end()));
-      count->fetch_add(1, std::memory_order_release);
-    });
-    return rt;
-  };
+    return o;
+  }
 
-  std::vector<Delivered> got_mmsg, got_portable;
-  std::atomic<std::size_t> n_mmsg{0}, n_portable{0};
-  auto rx_m = make_rx(true, 1, &got_mmsg, &n_mmsg);
-  auto rx_p = make_rx(false, 2, &got_portable, &n_portable);
+  RealRuntime rt_;
+  std::vector<Delivered> got_;
+  std::atomic<std::size_t> count_{0};
+  std::thread loop_;
+};
 
-  RealRuntimeOptions so;
-  so.listen = "127.0.0.1:0";
-  RealRuntime sender(so);
-  sender.add_peer(1, "127.0.0.1", rx_m->bound_port());
-  sender.add_peer(2, "127.0.0.1", rx_p->bound_port());
-  sender.transport().set_deliver(
+/// A socket-bound sender whose peer RecordingReceiver::kLocal is `rx`.
+std::unique_ptr<RealRuntime> sender_to(const RecordingReceiver& rx) {
+  RealRuntimeOptions o;
+  o.listen = "127.0.0.1:0";
+  auto sender = std::make_unique<RealRuntime>(o);
+  sender->add_peer(RecordingReceiver::kLocal, "127.0.0.1", rx.port());
+  sender->transport().set_deliver(
       [](ProcessId, ProcessId, Channel, const Payload&) {});
+  return sender;
+}
 
-  const auto rx_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  std::thread tm([&] {
-    rx_m->run_until(
-        [&] {
-          return n_mmsg.load(std::memory_order_acquire) >= kFrames ||
-                 std::chrono::steady_clock::now() > rx_deadline;
-        },
-        SIZE_MAX);
-  });
-  std::thread tp([&] {
-    rx_p->run_until(
-        [&] {
-          return n_portable.load(std::memory_order_acquire) >= kFrames ||
-                 std::chrono::steady_clock::now() > rx_deadline;
-        },
-        SIZE_MAX);
-  });
+TEST(RealTimeBatchedReceive, BatchedReceiveDeliversTheSentSequence) {
+  // recvmmsg drains bursts into one reused slab; what the protocol sees
+  // must be exactly what was sent. Loopback UDP preserves per-socket
+  // order, so the delivered (from, channel, payload) sequence must equal
+  // the sent one, byte for byte. 64 frames are two full recvmmsg bursts'
+  // worth, so slot reuse across bursts is covered too.
+  constexpr std::size_t kFrames = 64;
+  RecordingReceiver rx;
+  const auto sender = sender_to(rx);
+  rx.run(kFrames);
 
+  std::vector<RecordingReceiver::Delivered> sent;
   for (std::size_t i = 0; i < kFrames; ++i) {
     // Varying sizes and channels so a mis-stitched burst (wrong length,
     // swapped payload) cannot escape the comparison.
     Bytes payload(i * 7 + 1, static_cast<std::uint8_t>(i));
     const Channel ch = static_cast<Channel>(i % 3 + 1);
-    sender.transport().send(0, 1, ch, Bytes(payload));
-    sender.transport().send(0, 2, ch, std::move(payload));
+    sent.emplace_back(0, ch, payload);
+    sender->transport().send(0, RecordingReceiver::kLocal, ch,
+                             std::move(payload));
   }
+  rx.join();
 
-  tm.join();
-  tp.join();
-  rx_m->stop();
-  rx_p->stop();
+  ASSERT_EQ(rx.got().size(), kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i)
+    EXPECT_EQ(rx.got()[i], sent[i]) << "mismatch at frame " << i;
+  const auto stats = rx.udp_stats();
+  EXPECT_EQ(stats.frames_malformed, 0u);
+  EXPECT_LE(stats.recv_syscalls, stats.frames_received);
+}
 
-  ASSERT_EQ(got_mmsg.size(), static_cast<std::size_t>(kFrames));
-  ASSERT_EQ(got_portable.size(), static_cast<std::size_t>(kFrames));
-  for (std::size_t i = 0; i < kFrames; ++i) {
-    EXPECT_EQ(std::get<0>(got_mmsg[i]), std::get<0>(got_portable[i]));
-    EXPECT_EQ(std::get<2>(got_mmsg[i]), std::get<2>(got_portable[i]));
-    EXPECT_EQ(std::get<3>(got_mmsg[i]), std::get<3>(got_portable[i]))
-        << "payload mismatch at frame " << i;
+TEST(RealTimeBatchedReceive, BurstsTakeFewerReceiveSyscallsThanDatagrams) {
+  // The point of recvmmsg: when datagrams arrive in bursts, one receive
+  // syscall drains several. The sender's loop flushes kBursts bursts of
+  // kSendBatch frames from timer handlers — each burst one sendmmsg — so
+  // the receiver must take strictly fewer receive syscalls than frames.
+  constexpr std::size_t kBursts = 16;
+  constexpr std::size_t kPerBurst = RealRuntime::kSendBatch;
+  constexpr std::size_t kFrames = kBursts * kPerBurst;
+  RecordingReceiver rx;
+  const auto sender = sender_to(rx);
+  rx.run(kFrames);
+
+  std::size_t fired = 0;  // sender loop thread only
+  for (std::size_t b = 0; b < kBursts; ++b) {
+    sender->clock().arm(b, [&] {
+      for (std::size_t i = 0; i < kPerBurst; ++i)
+        sender->transport().send(0, RecordingReceiver::kLocal, 1,
+                                 Bytes(16, static_cast<std::uint8_t>(i)));
+      ++fired;
+    });
   }
-  // Both decoded everything; the batch path differs only in syscall count.
-  EXPECT_EQ(rx_m->udp_stats().frames_malformed, 0u);
-  EXPECT_EQ(rx_p->udp_stats().frames_malformed, 0u);
-  EXPECT_LE(rx_m->udp_stats().recv_syscalls,
-            rx_p->udp_stats().recv_syscalls);
+  sender->run_until([&] { return fired >= kBursts; }, SIZE_MAX);
+  rx.join();
+
+  const auto stats = rx.udp_stats();
+  EXPECT_EQ(rx.got().size(), kFrames);
+  EXPECT_EQ(stats.frames_received, kFrames);
+  EXPECT_EQ(stats.frames_malformed, 0u);
+  EXPECT_LT(stats.recv_syscalls, stats.frames_received)
+      << "recv syscalls/datagram " << stats.recv_syscalls_per_datagram();
+  // Every burst left in exactly one sendmmsg: the staging queue flushed
+  // at kSendBatch, not once per frame.
+  EXPECT_EQ(sender->udp_stats().frames_sent, kFrames);
+  EXPECT_EQ(sender->udp_stats().send_syscalls, kBursts);
 }
 
 TEST(RealTimeBatchedReceive, LargeThenSmallFramesInOneSlotDecodeExactly) {
@@ -489,59 +536,34 @@ TEST(RealTimeBatchedReceive, LargeThenSmallFramesInOneSlotDecodeExactly) {
   // frame lands on a 60 KB frame's leftovers.
   constexpr std::size_t kPairs = 40;
   constexpr std::size_t kBig = 60'000;
-  constexpr ProcessId kLocal = 1;
-
-  RealRuntimeOptions ro;
-  ro.listen = "127.0.0.1:0";
-  RealRuntime rx(ro);
-  rx.transport().set_local([](ProcessId p) { return p == kLocal; });
-  std::vector<Bytes> got;  // loop thread only until run_until returns
-  std::atomic<std::size_t> delivered{0};
-  rx.transport().set_deliver(
-      [&](ProcessId, ProcessId, Channel, const Payload& payload) {
-        got.emplace_back(payload.bytes().begin(), payload.bytes().end());
-        delivered.fetch_add(1, std::memory_order_release);
-      });
-
-  RealRuntimeOptions so;
-  so.listen = "127.0.0.1:0";
-  RealRuntime sender(so);
-  sender.add_peer(kLocal, "127.0.0.1", rx.bound_port());
-  sender.transport().set_deliver(
-      [](ProcessId, ProcessId, Channel, const Payload&) {});
+  RecordingReceiver rx;
+  const auto sender = sender_to(rx);
+  rx.run(2 * kPairs);
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  auto past_deadline = [&] { return std::chrono::steady_clock::now() > deadline; };
-  std::thread loop([&] {
-    rx.run_until(
-        [&] {
-          return delivered.load(std::memory_order_acquire) +
-                         rx.udp_stats().frames_malformed >=
-                     2 * kPairs ||
-                 past_deadline();
-        },
-        SIZE_MAX);
-  });
   auto send_and_wait = [&](Channel ch, Bytes payload) {
-    const std::size_t before = delivered.load(std::memory_order_acquire);
+    const std::size_t before = rx.delivered();
     const std::uint64_t bad = rx.udp_stats().frames_malformed;
-    sender.transport().send(0, kLocal, ch, std::move(payload));
-    while (delivered.load(std::memory_order_acquire) == before &&
-           rx.udp_stats().frames_malformed == bad && !past_deadline())
+    sender->transport().send(0, RecordingReceiver::kLocal, ch,
+                             std::move(payload));
+    while (rx.delivered() == before &&
+           rx.udp_stats().frames_malformed == bad &&
+           std::chrono::steady_clock::now() < deadline)
       std::this_thread::sleep_for(std::chrono::microseconds(50));
   };
   for (std::size_t i = 0; i < kPairs; ++i) {
     send_and_wait(1, Bytes(kBig, std::uint8_t{0xAB}));
     send_and_wait(2, Bytes(i + 1, static_cast<std::uint8_t>(i)));
   }
-  loop.join();
+  rx.join();
 
-  ASSERT_EQ(got.size(), 2 * kPairs);
+  ASSERT_EQ(rx.got().size(), 2 * kPairs);
   for (std::size_t i = 0; i < kPairs; ++i) {
-    EXPECT_EQ(got[2 * i], Bytes(kBig, std::uint8_t{0xAB}))
+    EXPECT_EQ(std::get<2>(rx.got()[2 * i]), Bytes(kBig, std::uint8_t{0xAB}))
         << "large frame " << i;
-    EXPECT_EQ(got[2 * i + 1], Bytes(i + 1, static_cast<std::uint8_t>(i)))
+    EXPECT_EQ(std::get<2>(rx.got()[2 * i + 1]),
+              Bytes(i + 1, static_cast<std::uint8_t>(i)))
         << "small frame " << i << " picked up stale slot bytes";
   }
   EXPECT_EQ(rx.udp_stats().frames_malformed, 0u);
