@@ -83,9 +83,8 @@ Stats run_smr(std::size_t n, std::size_t f, MakeReplica make_replica,
   s.replicas = static_cast<double>(n);
   s.completed = static_cast<double>(client.completed());
   s.total_ticks = static_cast<double>(w.now());
-  double total_latency = 0;
-  for (Time t : client.latencies()) total_latency += static_cast<double>(t);
-  s.ticks_per_req = total_latency / static_cast<double>(client.completed());
+  s.ticks_per_req = static_cast<double>(client.latency_sum()) /
+                    static_cast<double>(client.completed());
   s.msgs_per_req = static_cast<double>(w.network().stats().messages_sent) /
                    static_cast<double>(client.completed());
   s.bytes_per_req = static_cast<double>(w.network().stats().bytes_sent) /

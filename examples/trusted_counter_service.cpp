@@ -55,9 +55,8 @@ Outcome run_service(std::size_t n, std::size_t f,
   out.replicas = n;
   out.completed = client.completed();
   out.final_value = last;
-  double total = 0;
-  for (Time t : client.latencies()) total += static_cast<double>(t);
-  out.mean_latency = total / static_cast<double>(client.latencies().size());
+  out.mean_latency = static_cast<double>(client.latency_sum()) /
+                     static_cast<double>(client.completed());
   out.messages = world.network().stats().messages_sent;
   out.bytes = world.network().stats().bytes_sent;
   return out;

@@ -62,7 +62,7 @@ void SmrClient::send_request(const Command& cmd) {
 
 void SmrClient::arm_resend(std::uint64_t request_id) {
   if (options_.resend_timeout == 0) return;
-  const InFlight& req = in_flight_.at(request_id);
+  InFlight& req = in_flight_.at(request_id);
   if (options_.max_attempts != 0 && req.attempts >= options_.max_attempts) {
     // Out of attempts: surface the abandonment instead of waiting forever
     // on a quorum that may never come back.
@@ -83,13 +83,16 @@ void SmrClient::arm_resend(std::uint64_t request_id) {
   const Time jitter = options_.resend_jitter == 0
                           ? 0
                           : rng().below(options_.resend_jitter + 1);
-  set_timer((options_.resend_timeout << shift) + jitter, [this, request_id] {
-    auto it = in_flight_.find(request_id);
-    if (it == in_flight_.end()) return;  // completed meanwhile
-    ++it->second.attempts;
-    send_request(it->second.cmd);
-    arm_resend(request_id);
-  });
+  // on_reply cancels the pending timer, so live timers track the requests
+  // in flight rather than every request of the last timeout.
+  req.resend_timer = set_timer(
+      (options_.resend_timeout << shift) + jitter, [this, request_id] {
+        auto it = in_flight_.find(request_id);
+        if (it == in_flight_.end()) return;  // already resolved
+        ++it->second.attempts;
+        send_request(it->second.cmd);
+        arm_resend(request_id);
+      });
 }
 
 void SmrClient::on_reply(ProcessId from, Reply reply) {
@@ -103,7 +106,7 @@ void SmrClient::on_reply(ProcessId from, Reply reply) {
   // f+1 matching replies: at least one from a correct replica.
   ++completed_;
   const Time latency = world().now() - req.issued_at;
-  latencies_.push_back(latency);
+  latency_sum_ += latency;
   world().metrics().histogram("client.latency_ticks").record(latency);
   world().tracer().complete("request", "client", id(), req.issued_at, latency,
                             "request_id", reply.request_id, "attempts",
@@ -111,6 +114,7 @@ void SmrClient::on_reply(ProcessId from, Reply reply) {
   output("smr-complete", serde::encode(reply.request_id));
   DoneFn done = std::move(req.done);
   const Bytes result = reply.result;
+  cancel_timer(req.resend_timer);
   in_flight_.erase(it);
   issue_after_think();
   if (done) done(result);

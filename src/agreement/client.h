@@ -64,8 +64,10 @@ class SmrClient final : public sim::Process {
   /// Requests abandoned after exhausting Options::max_attempts.
   std::uint64_t gave_up() const { return gave_up_; }
   std::size_t outstanding() const { return in_flight_.size(); }
-  /// Per-request latency in virtual ticks, completion order.
-  const std::vector<Time>& latencies() const { return latencies_; }
+  /// Sum of completed requests' latencies in ticks; the mean is
+  /// latency_sum() / completed(). The distribution is the
+  /// "client.latency_ticks" histogram.
+  Time latency_sum() const { return latency_sum_; }
 
  protected:
   void on_start() override;
@@ -80,6 +82,7 @@ class SmrClient final : public sim::Process {
     DoneFn done;
     Time issued_at = 0;
     std::size_t attempts = 0;  // sends so far (first send included)
+    runtime::TimerId resend_timer = runtime::kNoTimer;  // the pending one
     std::map<Bytes, std::set<ProcessId>> votes;  // result -> replicas
   };
 
@@ -97,7 +100,7 @@ class SmrClient final : public sim::Process {
   std::map<std::uint64_t, InFlight> in_flight_;  // by request_id
   std::uint64_t completed_ = 0;
   std::uint64_t gave_up_ = 0;
-  std::vector<Time> latencies_;
+  Time latency_sum_ = 0;
 };
 
 }  // namespace unidir::agreement

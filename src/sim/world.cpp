@@ -28,7 +28,7 @@ void Process::broadcast(Channel channel, const Bytes& payload,
   }
 }
 
-void Process::set_timer(Time delay, std::function<void()> fn) {
+runtime::TimerId Process::set_timer(Time delay, std::function<void()> fn) {
   World& w = world();
   const ProcessId self = id_;
   // Capture the incarnation at arm time: a timer armed before a crash must
@@ -39,9 +39,14 @@ void Process::set_timer(Time delay, std::function<void()> fn) {
   // arm_for, not clock().arm: it names the timer's owner process, which a
   // decorating runtime (perfbench's TracedRuntime) uses to attribute spans.
   const std::uint64_t epoch = w.incarnation(self);
-  w.runtime().arm_for(self, delay, [&w, self, epoch, fn = std::move(fn)]() {
-    if (!w.crashed(self) && w.incarnation(self) == epoch) fn();
-  });
+  return w.runtime().arm_for(
+      self, delay, [&w, self, epoch, fn = std::move(fn)]() {
+        if (!w.crashed(self) && w.incarnation(self) == epoch) fn();
+      });
+}
+
+void Process::cancel_timer(runtime::TimerId id) {
+  world().runtime().clock().cancel(id);
 }
 
 void Process::output(std::string tag, Bytes payload) {

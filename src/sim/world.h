@@ -110,7 +110,11 @@ class Process {
   void broadcast(Channel channel, const Bytes& payload,
                  bool include_self = false);
   /// Schedules `fn` after `delay` ticks; suppressed if crashed by then.
-  void set_timer(Time delay, std::function<void()> fn);
+  /// Returns the id cancel_timer takes.
+  runtime::TimerId set_timer(Time delay, std::function<void()> fn);
+  /// Cancels a timer set_timer returned; a no-op once it has fired, and
+  /// on runtime::kNoTimer (Clock::cancel's contract).
+  void cancel_timer(runtime::TimerId id);
   /// Records a decision in the transcript (deliver/commit/...); a no-op
   /// off the simulator (see World::transcript).
   void output(std::string tag, Bytes payload);

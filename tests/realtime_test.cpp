@@ -185,6 +185,41 @@ TEST(RealTimeLoopback, MinBftCommitsAClosedLoopWorkloadOverUdp) {
   EXPECT_GE(replicas_sent, kF + 1);
 }
 
+// ---- client resend timers --------------------------------------------------
+
+TEST(RealTimeClient, RunQuiescesOnceEveryRequestCompletes) {
+  // One loopback-only runtime (no socket) hosts three replicas and a
+  // client whose resend base is 30 s at the default 1-ms tick. run()
+  // returns once no timer is live, so it comes back promptly only if each
+  // completed request's resend timer was cancelled, not left to expire.
+  constexpr std::uint64_t kPipelined = 64;
+  sim::World world(kSeed, std::make_unique<RealRuntime>(RealRuntimeOptions{}));
+  SgxUsigDirectory usigs(world.keys());
+  MinBftReplica::Options ropt;
+  ropt.f = 1;
+  ropt.replicas = {0, 1, 2};
+  for (std::size_t i = 0; i < ropt.replicas.size(); ++i)
+    world.spawn<MinBftReplica>(ropt, usigs,
+                               std::make_unique<KvStateMachine>());
+  SmrClient::Options copt;
+  copt.replicas = ropt.replicas;
+  copt.f = 1;
+  copt.resend_timeout = 30'000;
+  copt.max_outstanding = kPipelined;
+  auto& client = world.spawn<SmrClient>(copt);
+  for (std::uint64_t i = 0; i < kPipelined; ++i)
+    client.submit(KvStateMachine::put_op("k" + std::to_string(i % 8), "v"));
+  world.start();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  world.runtime().run(SIZE_MAX);
+  const auto wall = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(client.completed(), kPipelined);
+  EXPECT_EQ(client.outstanding(), 0u);
+  EXPECT_LT(wall, std::chrono::seconds(10))
+      << "run() waited out the resend timers of completed requests";
+}
+
 // ---- shutdown ordering -----------------------------------------------------------
 //
 // The teardown path is where loop thread, receiver thread and destructor

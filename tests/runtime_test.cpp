@@ -6,7 +6,8 @@
 //    SimulatorStats. The run_wall_ns == 0 edge (fresh stats, coarse clock)
 //    must read as rate 0, not NaN/inf, on either backend.
 //  - Clock::cancel: tombstoned on both backends; cancelling a fired or
-//    unknown id is a no-op.
+//    unknown id is a no-op. Process::cancel_timer on the simulator keeps
+//    the event order: a twin world that never cancels ends identically.
 //  - RealRuntime's timer heap: fires in (deadline, arm-order) order on one
 //    loop thread — deterministic, so it is testable under the unit label.
 //  - Datagram framing: round-trip, and the hardening contract (nullopt,
@@ -165,6 +166,104 @@ TEST(Clock, CancelAfterFireIsANoOp) {
   rt.clock().arm(1, [&later] { later = true; });
   rt.run(SIZE_MAX);
   EXPECT_TRUE(later);
+}
+
+// ---- Process::cancel_timer on the simulator --------------------------------
+
+TEST(ProcessTimer, CancelledTimerNeverRuns) {
+  sim::World w(1, std::make_unique<sim::ImmediateAdversary>());
+  auto& a = w.spawn<Node>();
+  w.start();
+  bool cancelled_ran = false;
+  bool kept_ran = false;
+  const TimerId id = a.set_timer(5, [&] { cancelled_ran = true; });
+  a.set_timer(7, [&] { kept_ran = true; });
+  a.cancel_timer(id);
+  w.run_to_quiescence();
+  EXPECT_FALSE(cancelled_ran);
+  EXPECT_TRUE(kept_ran);
+}
+
+TEST(ProcessTimer, CancelNoTimerIsANoOp) {
+  sim::World w(1, std::make_unique<sim::ImmediateAdversary>());
+  auto& a = w.spawn<Node>();
+  w.start();
+  int fired = 0;
+  a.set_timer(3, [&] { ++fired; });
+  a.cancel_timer(kNoTimer);
+  w.run_to_quiescence();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(w.now(), 3u);
+}
+
+/// Bounces a growing payload with its peer and records every receipt, so
+/// two runs have a transcript worth comparing.
+class Bouncer final : public sim::Process {
+ public:
+  ProcessId peer = kNoProcess;
+
+ protected:
+  void on_start() override {
+    if (id() == 0) send(peer, 7, Bytes{0});
+  }
+  void on_message(ProcessId from, Channel channel,
+                  const Bytes& payload) override {
+    output("got", payload);
+    if (payload.size() >= 8) return;
+    Bytes next = payload;
+    next.push_back(static_cast<std::uint8_t>(payload.size()));
+    send(from, channel, std::move(next));
+  }
+};
+
+TEST(ProcessTimer, CancelKeepsTheEventOrderOfATwinThatDoesNotCancel) {
+  // The simulator swallows a cancelled timer at its original time, so
+  // cancelling a no-op timer changes nothing observable: the same final
+  // time (the timer's, past the last message) and the same transcripts.
+  struct Run {
+    Time end = 0;
+    std::vector<std::vector<sim::ObservedEvent>> transcripts;
+  };
+  auto run = [](bool cancel) {
+    sim::World w(3, std::make_unique<sim::RandomDelayAdversary>(1, 20));
+    auto& a = w.spawn<Bouncer>();
+    auto& b = w.spawn<Bouncer>();
+    a.peer = b.id();
+    b.peer = a.id();
+    w.start();
+    const TimerId id = a.set_timer(500, [] {});
+    if (cancel) a.cancel_timer(id);
+    w.run_to_quiescence();
+    return Run{w.now(), {w.transcript(0).events(), w.transcript(1).events()}};
+  };
+  const Run cancelled = run(true);
+  const Run kept = run(false);
+  EXPECT_EQ(cancelled.end, 500u);
+  EXPECT_EQ(cancelled.end, kept.end);
+  // Eight receipts, each recorded as a message and an output.
+  ASSERT_EQ(cancelled.transcripts[0].size() + cancelled.transcripts[1].size(),
+            16u);
+  EXPECT_EQ(cancelled.transcripts, kept.transcripts);
+}
+
+TEST(ProcessTimer, CancelledBeforeACrashStaysSuppressedAfterRestart) {
+  // Timers armed by the crashed incarnation, cancelled or not, never run
+  // in the recovered one; its own timers do, and the stale ones still end
+  // the run at their original time.
+  sim::World w(1, std::make_unique<sim::ImmediateAdversary>());
+  auto& a = w.spawn<Node>();
+  w.start();
+  int stale = 0;
+  bool fresh = false;
+  a.cancel_timer(a.set_timer(10, [&] { ++stale; }));
+  a.set_timer(12, [&] { ++stale; });
+  w.crash(a.id());
+  w.restart(a.id());
+  a.set_timer(4, [&] { fresh = true; });
+  w.run_to_quiescence();
+  EXPECT_EQ(stale, 0);
+  EXPECT_TRUE(fresh);
+  EXPECT_EQ(w.now(), 12u);
 }
 
 // ---- RealRuntime timer ordering -------------------------------------------
