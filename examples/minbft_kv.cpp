@@ -297,11 +297,10 @@ int run_real(const RealConfig& cfg) {
   const std::size_t total = cfg.peers.size();
   const std::size_t f = (cfg.replicas - 1) / 2;  // MinBFT: n = 2f+1
 
-  // The fault plan applies at two layers: frame-level tx corruption inside
-  // the runtime (so damage hits the wire format and dies in the peer's
-  // hardened frame decoder) and drop/delay/duplicate/partition at the
-  // World's transport boundary. The seed is mixed with the process id so
-  // every process mangles an independent stream.
+  // The whole fault plan (drop/delay/duplicate/corrupt/partition) applies
+  // at the World's transport boundary, above the socket: a corrupted
+  // payload dies at the peer's wire::Router decode. The seed is mixed with
+  // the process id so every process mangles an independent stream.
   runtime::FaultPlan plan;
   if (!cfg.fault_plan.empty()) {
     std::ifstream in(cfg.fault_plan);
@@ -325,9 +324,6 @@ int run_real(const RealConfig& cfg) {
   runtime::RealRuntimeOptions ropt;
   ropt.tick_ns = cfg.tick_us * 1000;
   ropt.listen = cfg.listen;
-  ropt.corrupt_tx_per_million = plan.corrupt_per_million;
-  ropt.corrupt_seed = plan.seed;
-  plan.corrupt_per_million = 0;  // corruption handled at the frame layer
   auto rt = std::make_unique<runtime::RealRuntime>(ropt);
   runtime::RealRuntime* control = rt.get();
   for (ProcessId p = 0; p < total; ++p) {
@@ -410,14 +406,16 @@ int run_real(const RealConfig& cfg) {
                    cfg.id);
       return 4;
     }
+    const runtime::FaultyTransportStats* faults = world.fault_stats();
     std::printf("replica %u: view=%llu executed=%llu digest=%s "
-                "recoveries=%llu malformed=%llu corrupt_tx=%llu chains=%s\n",
+                "recoveries=%llu malformed=%llu corrupted=%llu chains=%s\n",
                 cfg.id, static_cast<unsigned long long>(replica.view()),
                 static_cast<unsigned long long>(replica.executed_count()),
                 to_hex(ByteSpan(replica.state_digest().data(), 8)).c_str(),
                 static_cast<unsigned long long>(replica.recoveries()),
                 static_cast<unsigned long long>(us.frames_malformed),
-                static_cast<unsigned long long>(us.frames_corrupt_tx),
+                static_cast<unsigned long long>(
+                    faults != nullptr ? faults->corrupted : 0),
                 chain_samples(replica.execution_log(),
                               cfg.chain_interval != 0
                                   ? cfg.chain_interval

@@ -10,11 +10,16 @@ namespace {
 
 constexpr unsigned kMaxStateAttempts = 4;
 
-/// Everything a replica writes to its DurableStore: the recovery image.
-struct DurableImage {
+}  // namespace
+
+namespace replica_wire {
+
+/// A replica's recoverable state, in one encoding: persist() writes it to
+/// the DurableStore, and a StateReply carries it (signed) to a peer.
+struct ReplicaImage {
   ViewNum view = 0;
   SeqNum next_exec = 0;
-  std::map<ProcessId, SeqNum> streams;
+  std::map<ProcessId, SeqNum> streams;  // the protocol's extras
   std::uint64_t stable = 0;
   std::uint64_t exec_floor = 0;
   ExecutionLog log;
@@ -31,8 +36,8 @@ struct DurableImage {
     w.bytes(machine_snapshot);
     dedup.encode(w);
   }
-  static DurableImage decode(serde::Reader& r) {
-    DurableImage img;
+  static ReplicaImage decode(serde::Reader& r) {
+    ReplicaImage img;
     img.view = r.uvarint();
     img.next_exec = r.uvarint();
     img.streams = serde::read<std::map<ProcessId, SeqNum>>(r);
@@ -44,10 +49,6 @@ struct DurableImage {
     return img;
   }
 };
-
-}  // namespace
-
-namespace replica_wire {
 
 struct Checkpoint {
   static constexpr wire::MsgDesc kDesc{1, "smr-checkpoint"};
@@ -143,34 +144,17 @@ struct StateRequest {
 struct StateReply {
   static constexpr wire::MsgDesc kDesc{5, "smr-state-reply"};
 
-  ViewNum view = 0;
-  SeqNum next_exec = 0;
-  std::map<ProcessId, SeqNum> streams;  // the protocol's extras
-  std::uint64_t stable = 0;
-  std::uint64_t exec_floor = 0;
-  StateBundle core;
+  ReplicaImage image;
   crypto::Signature sig;
 
-  void encode_body(serde::Writer& w) const {
-    w.uvarint(view);
-    w.uvarint(next_exec);
-    serde::write(w, streams);
-    w.uvarint(stable);
-    w.uvarint(exec_floor);
-    core.encode(w);
-  }
+  void encode_body(serde::Writer& w) const { image.encode(w); }
   void encode(serde::Writer& w) const {
     encode_body(w);
     sig.encode(w);
   }
   static StateReply decode(serde::Reader& r) {
     StateReply rep;
-    rep.view = r.uvarint();
-    rep.next_exec = r.uvarint();
-    rep.streams = serde::read<std::map<ProcessId, SeqNum>>(r);
-    rep.stable = r.uvarint();
-    rep.exec_floor = r.uvarint();
-    rep.core = StateBundle::decode(r);
+    rep.image = ReplicaImage::decode(r);
     rep.sig = crypto::Signature::decode(r);
     return rep;
   }
@@ -766,8 +750,8 @@ void ReplicaCore::replay_view(ViewNum v) {
 
 // ---- crash recovery (DESIGN.md §9) ----------------------------------------------
 
-void ReplicaCore::persist() {
-  DurableImage img;
+ReplicaImage ReplicaCore::capture() const {
+  ReplicaImage img;
   img.view = view_;
   img.next_exec = next_exec_;
   img.streams = streams();
@@ -776,7 +760,11 @@ void ReplicaCore::persist() {
   img.log = log_;
   img.machine_snapshot = machine_->snapshot();
   img.dedup = dedup_;
-  world().durable(id()).put_value(durable_key(), img);
+  return img;
+}
+
+void ReplicaCore::persist() {
+  world().durable(id()).put_value(durable_key(), capture());
 }
 
 void ReplicaCore::reload(sim::DurableStore& durable) {
@@ -804,7 +792,7 @@ void ReplicaCore::reload(sim::DurableStore& durable) {
   queued_keys_.clear();
   batch_flushing_ = false;
   machine_->restore(initial_snapshot_);
-  if (const auto img = durable.get_value<DurableImage>(durable_key())) {
+  if (const auto img = durable.get_value<ReplicaImage>(durable_key())) {
     view_ = img->view;
     next_exec_ = img->next_exec;
     stable_checkpoint_ = img->stable;
@@ -863,14 +851,7 @@ void ReplicaCore::handle_state_request(ProcessId from, StateRequest req) {
   if (from == id()) return;
   if (log_.size() <= req.have) return;  // nothing the requester lacks
   StateReply rep;
-  rep.view = view_;
-  rep.next_exec = next_exec_;
-  rep.streams = streams();
-  rep.stable = stable_checkpoint_;
-  rep.exec_floor = exec_floor_;
-  rep.core.log = log_;
-  rep.core.machine_snapshot = machine_->snapshot();
-  rep.core.dedup = dedup_;
+  rep.image = capture();
   rep.sig = signer().sign(binding(binding_tag("state"), rep).buffer());
   protocol_router_.send(from, rep);
 }
@@ -883,15 +864,15 @@ void ReplicaCore::handle_state_reply(ProcessId from, StateReply rep) {
   if (!world().keys().verify(
           rep.sig, binding(binding_tag("state"), rep).buffer()))
     return;
-  install_bundle(rep);
+  install_bundle(rep.image);
 }
 
-void ReplicaCore::install_bundle(const StateReply& b) {
+void ReplicaCore::install_bundle(const ReplicaImage& b) {
   const ViewNum was_view = view_;
-  if (b.core.log.size() > log_.size()) {
-    log_ = b.core.log;
-    machine_->restore(b.core.machine_snapshot);
-    dedup_ = b.core.dedup;
+  if (b.log.size() > log_.size()) {
+    log_ = b.log;
+    machine_->restore(b.machine_snapshot);
+    dedup_ = b.dedup;
     // Witness for the batch-atomicity checker: these commands' effects
     // arrived via state transfer, so no "smr-exec" output will ever record
     // them.

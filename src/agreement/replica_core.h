@@ -56,6 +56,7 @@ struct ViewChange;
 struct NewView;
 struct StateRequest;
 struct StateReply;
+struct ReplicaImage;
 }  // namespace replica_wire
 
 class ReplicaCore : public sim::Process {
@@ -256,9 +257,12 @@ class ReplicaCore : public sim::Process {
   void replay_view(ViewNum v);
 
   // state transfer
+  /// Copies the recoverable state into the image that persist() stores
+  /// and a StateReply carries.
+  replica_wire::ReplicaImage capture() const;
   void handle_state_request(ProcessId from, replica_wire::StateRequest req);
   void handle_state_reply(ProcessId from, replica_wire::StateReply rep);
-  void install_bundle(const replica_wire::StateReply& b);
+  void install_bundle(const replica_wire::ReplicaImage& b);
   bool needs_state() const;
   void send_state_request();
   void arm_state_retry();

@@ -233,18 +233,4 @@ InstallWitness InstallWitness::decode(serde::Reader& r) {
   return iw;
 }
 
-void StateBundle::encode(serde::Writer& w) const {
-  log.encode(w);
-  w.bytes(machine_snapshot);
-  dedup.encode(w);
-}
-
-StateBundle StateBundle::decode(serde::Reader& r) {
-  StateBundle b;
-  b.log = ExecutionLog::decode(r);
-  b.machine_snapshot = r.bytes();
-  b.dedup = ExecutionDeduper::decode(r);
-  return b;
-}
-
 }  // namespace unidir::agreement

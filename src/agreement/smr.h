@@ -234,17 +234,4 @@ class VcArchive {
   std::uint64_t next_ = 0;
 };
 
-/// The protocol-agnostic core of a checkpoint state-transfer reply: the
-/// responder's pruned execution log, matching machine snapshot and reply
-/// cache. Protocol wire messages wrap this with their own view/window
-/// coordinates and a signature.
-struct StateBundle {
-  ExecutionLog log;
-  Bytes machine_snapshot;
-  ExecutionDeduper dedup;
-
-  void encode(serde::Writer& w) const;
-  static StateBundle decode(serde::Reader& r);
-};
-
 }  // namespace unidir::agreement

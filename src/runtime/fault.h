@@ -18,10 +18,10 @@
 // eventual outcomes, not traces (DESIGN.md §14).
 //
 // Corruption note: FaultyTransport flips bytes in the payload it forwards,
-// which exercises the wire::Router decode boundary. Frame-level corruption
-// on the UDP path (mangling the encoded datagram so runtime/frame's
-// hardened decoder rejects it) is a RealRuntime option driven from the
-// same plan — see RealRuntimeOptions::corrupt_tx_per_million.
+// which exercises the wire::Router decode boundary. It is the one fault
+// injector on both backends; the UDP frame decoder below it is held by a
+// test that sends garbage datagrams to a live receiver
+// (tests/realtime_test.cpp).
 #pragma once
 
 #include <cstdint>

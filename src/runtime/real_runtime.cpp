@@ -3,10 +3,11 @@
 //   timers      — binary heap + id->fn map; cancel leaves a tombstone in
 //                 the heap and erases the fn immediately.
 //   transport   — peer sends encode to a frame, refuse oversized ones,
-//                 maybe corrupt (chaos), then stage on the loop's send
-//                 queue for a sendmmsg flush; local sends go to the loop's
-//                 own queue (from the loop thread: no lock at all) or the
-//                 inbox (from any other thread).
+//                 then stage on the loop's send queue for a sendmmsg
+//                 flush; local sends go to the loop's own queue (from the
+//                 loop thread: no lock at all) or the inbox (from any
+//                 other thread). Failures are counted in atomics, and the
+//                 first of each kind warns.
 //   receiver    — one thread draining recvmmsg bursts into the inbox, one
 //                 lock acquisition per burst.
 //   loop        — run_impl is the one event-loop body, on the caller's
@@ -72,15 +73,6 @@ std::uint64_t resolve_ipv4(const std::string& host, std::uint16_t port) {
   return pack_addr(addr.s_addr, htons(port));
 }
 
-/// splitmix64 step — the corrupt_tx decision stream. Self-contained so the
-/// runtime layer does not pull in sim/rng.h.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 /// Splits "ip:port"; throws on anything else.
 std::pair<std::string, std::uint16_t> split_host_port(const std::string& s) {
   const std::size_t colon = s.rfind(':');
@@ -110,11 +102,6 @@ RealRuntime::RealRuntime(RealRuntimeOptions options)
       transport_(*this),
       epoch_(std::chrono::steady_clock::now()) {
   UNIDIR_REQUIRE_MSG(options_.tick_ns > 0, "tick_ns must be positive");
-  // Two independent corrupt streams: the loop's, and a fixed offset of it
-  // for other threads' sends. Both are pure functions of corrupt_seed, so
-  // a chaos run replays the same corruptions.
-  corrupt_rng_ = options_.corrupt_seed;
-  foreign_corrupt_rng_ = options_.corrupt_seed + 0x9E3779B97F4A7C15ull * 64;
   for (const RealRuntimeOptions::Peer& p : options_.peers)
     add_peer(p.id, p.host, p.port);
   if (!options_.listen.empty()) {
@@ -198,34 +185,15 @@ void RealRuntime::transport_send(ProcessId from, ProcessId to, Channel channel,
       // as a silent kernel EMSGSIZE deep in a sendmmsg burst. Large frames
       // need the TCP transport (ROADMAP item 3); until then the sender's
       // retransmission logic sees the loss honestly.
-      frames_oversized_.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(warn_mu_);
-      if (warned_oversized_.insert(channel).second) {
+      if (frames_oversized_.fetch_add(1, std::memory_order_relaxed) == 0) {
         UNIDIR_WARN("RealRuntime: dropping "
                     << frame.size() << "-byte frame on channel " << channel
                     << " (> max_datagram " << options_.max_datagram
                     << "); fragmenting needs the TCP transport — ROADMAP "
-                       "item 3. Further drops on this channel are silent.");
+                       "item 3. Later oversized frames are counted in "
+                       "udp_stats().frames_oversized.");
       }
       return;
-    }
-    if (options_.corrupt_tx_per_million != 0 && !frame.empty()) {
-      std::unique_lock<std::mutex> foreign_lock;
-      std::uint64_t* rng = nullptr;
-      if (on_loop()) {
-        rng = &corrupt_rng_;
-      } else {
-        foreign_lock = std::unique_lock<std::mutex>(foreign_mu_);
-        rng = &foreign_corrupt_rng_;
-      }
-      if (splitmix64(*rng) % 1'000'000 < options_.corrupt_tx_per_million) {
-        // One flipped byte anywhere in the encoded frame: magic, varint
-        // header or payload — the peer's decode_frame must reject it (or,
-        // for a payload hit that survives framing, the wire::Router must).
-        const std::uint64_t roll = splitmix64(*rng);
-        frame[roll % frame.size()] ^= std::uint8_t(1 + (roll >> 32) % 255);
-        frames_corrupt_tx_.fetch_add(1, std::memory_order_relaxed);
-      }
     }
     stage_or_send(peer->second, std::move(frame));
     return;
@@ -235,11 +203,10 @@ void RealRuntime::transport_send(ProcessId from, ProcessId to, Channel channel,
     enqueue_local(Incoming{from, to, channel, std::move(payload)});
     return;
   }
-  frames_no_peer_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(warn_mu_);
-  if (warned_no_peer_.insert(to).second) {
+  if (frames_no_peer_.fetch_add(1, std::memory_order_relaxed) == 0) {
     UNIDIR_WARN("RealRuntime: dropping send to unaddressable process "
-                << to << " (no peer entry, not local)");
+                << to << " (no peer entry, not local); later ones are "
+                   "counted in udp_stats().frames_no_peer.");
   }
 }
 
@@ -278,8 +245,7 @@ void RealRuntime::send_now(std::uint64_t addr, const Bytes& frame) {
       ::sendto(fd_, frame.data(), frame.size(), 0,
                reinterpret_cast<const sockaddr*>(&sa), sizeof(sa));
   if (r < 0) {
-    frames_send_failed_.fetch_add(1, std::memory_order_relaxed);
-    note_send_failure(errno);
+    count_send_failure(errno);
     return;
   }
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -316,8 +282,7 @@ void RealRuntime::flush_sends() {
       // rejection surfaces as a short count here and as the -1 of the
       // next iteration's first slot — so every loss is counted exactly
       // once, never attributed to frames_sent_.
-      frames_send_failed_.fetch_add(1, std::memory_order_relaxed);
-      note_send_failure(sent < 0 ? errno : EIO);
+      count_send_failure(sent < 0 ? errno : EIO);
       ++i;
       continue;
     }
@@ -328,13 +293,12 @@ void RealRuntime::flush_sends() {
   send_queue_.clear();
 }
 
-void RealRuntime::note_send_failure(int err) {
-  std::lock_guard<std::mutex> lock(warn_mu_);
-  if (warned_send_errno_.insert(err).second) {
+void RealRuntime::count_send_failure(int err) {
+  if (frames_send_failed_.fetch_add(1, std::memory_order_relaxed) == 0) {
     UNIDIR_WARN("RealRuntime: datagram send failed: "
                 << std::strerror(err) << " (errno " << err
-                << "); counting frames_send_failed, further occurrences "
-                   "of this errno are silent");
+                << "); later failures are counted in "
+                   "udp_stats().frames_send_failed.");
   }
 }
 
@@ -547,7 +511,6 @@ UdpTransportStats RealRuntime::udp_stats() const {
   s.frames_malformed = frames_malformed_.load(std::memory_order_relaxed);
   s.frames_no_peer = frames_no_peer_.load(std::memory_order_relaxed);
   s.loopback_messages = loopback_messages_.load(std::memory_order_relaxed);
-  s.frames_corrupt_tx = frames_corrupt_tx_.load(std::memory_order_relaxed);
   s.frames_send_failed = frames_send_failed_.load(std::memory_order_relaxed);
   s.frames_oversized = frames_oversized_.load(std::memory_order_relaxed);
   s.recv_syscalls = recv_syscalls_.load(std::memory_order_relaxed);

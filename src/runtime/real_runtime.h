@@ -20,10 +20,12 @@
 // every wait — so a broadcast costs one syscall, and at saturation the
 // syscalls-per-datagram ratio drops well below 1 on both directions.
 // Every send's return value is checked: kernel rejections are counted
-// (frames_send_failed, per-errno WARN-once), never reported as delivered
-// traffic, and frames over options.max_datagram are refused at encode time
-// (frames_oversized) instead of dying as silent EMSGSIZE — fragmenting
-// them over a TCP transport is the ROADMAP item 3 follow-up.
+// (frames_send_failed), never reported as delivered traffic, and frames
+// over options.max_datagram are refused at encode time (frames_oversized)
+// instead of dying as silent EMSGSIZE — fragmenting them over a TCP
+// transport is the ROADMAP item 3 follow-up. Each failure kind (send
+// failure, oversized frame, unaddressable peer) warns once, on its first
+// occurrence; later ones are only counted in udp_stats().
 //
 // Time: a "tick" is Options::tick_ns of std::chrono::steady_clock (default
 // 1ms), so protocol timeouts written in ticks — a MinBFT view-change
@@ -38,7 +40,8 @@
 // the loop itself sends, under the inbox lock from any other thread;
 // anything else is dropped and counted. Determinism, fingerprints and the
 // adversary do NOT exist here — that is the point of the boundary
-// (DESIGN.md §13; batching is §15).
+// (DESIGN.md §13; batching is §15). Faults are injected above this layer,
+// by runtime::FaultyTransport (runtime/fault.h).
 #pragma once
 
 #include <atomic>
@@ -51,7 +54,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "runtime/runtime.h"
@@ -67,7 +69,6 @@ struct UdpTransportStats {
   std::uint64_t frames_malformed = 0;    // datagrams decode_frame rejected
   std::uint64_t frames_no_peer = 0;      // sends to unaddressable ids
   std::uint64_t loopback_messages = 0;   // local deliveries (no socket)
-  std::uint64_t frames_corrupt_tx = 0;   // datagrams mangled before sendto
   std::uint64_t frames_send_failed = 0;  // sendto/sendmmsg kernel rejections
   std::uint64_t frames_oversized = 0;    // refused at encode: > max_datagram
   std::uint64_t recv_syscalls = 0;       // recvmmsg calls that returned data
@@ -113,22 +114,11 @@ struct RealRuntimeOptions {
   std::vector<Peer> peers;
 
   /// Largest encoded frame handed to the socket. Anything bigger is
-  /// refused at encode time and counted as frames_oversized (WARN-once per
-  /// channel) instead of dying as a silent kernel EMSGSIZE. The default is
-  /// the IPv4 UDP payload maximum; tests raise it past the kernel's limit
-  /// to exercise real sendmmsg failures, or lower it to make "oversized"
-  /// cheap to hit.
+  /// refused at encode time and counted as frames_oversized instead of
+  /// dying as a silent kernel EMSGSIZE. The default is the IPv4 UDP
+  /// payload maximum; tests raise it past the kernel's limit to exercise
+  /// real sendmmsg failures, or lower it to make "oversized" cheap to hit.
   std::size_t max_datagram = 65507;
-
-  /// Mangles this many outgoing datagrams per million (0 = off) by flipping
-  /// one byte AFTER frame encoding, so the damage lands on the wire format
-  /// itself — the chaos harness's proof that the peer's hardened
-  /// decode_frame rejects and counts garbage instead of crashing. Payload-
-  /// level corruption (inside a valid frame) is FaultyTransport's job
-  /// (runtime/fault.h); this knob covers the layer below it. Decisions are
-  /// deterministic in corrupt_seed and the send index on the loop thread.
-  std::uint32_t corrupt_tx_per_million = 0;
-  std::uint64_t corrupt_seed = 1;
 };
 
 class RealRuntime final : public Runtime {
@@ -246,7 +236,8 @@ class RealRuntime final : public Runtime {
   /// One sendto with full failure accounting.
   void send_now(std::uint64_t addr, const Bytes& frame);
   void flush_sends();
-  void note_send_failure(int err);
+  /// Counts one kernel send rejection; the first one warns.
+  void count_send_failure(int err);
   void open_socket();
   void receive_loop();
   /// Executes at most one pending event (due timer first, then one
@@ -277,10 +268,9 @@ class RealRuntime final : public Runtime {
   TimerId next_timer_id_ = kNoTimer;
   std::deque<Incoming> local_;
   std::vector<PendingSend> send_queue_;
-  std::uint64_t corrupt_rng_ = 0;
 
   // The cross-thread handoff point, shared with the receiver and any
-  // foreign sender.
+  // foreign sender; the runtime's one lock.
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Incoming> inbox_;
@@ -297,21 +287,13 @@ class RealRuntime final : public Runtime {
   std::atomic<bool> running_{false};  // the loop is live (arm checks)
   std::unordered_map<ProcessId, std::uint64_t> peers_;  // id -> packed addr
 
-  // Cold-path bookkeeping shared across threads: warn-once sets and the
-  // corrupt stream for callers that are not the loop thread.
-  std::mutex warn_mu_;
-  std::unordered_set<ProcessId> warned_no_peer_;
-  std::unordered_set<Channel> warned_oversized_;
-  std::unordered_set<int> warned_send_errno_;
-  std::mutex foreign_mu_;  // guards foreign_corrupt_rng_
-  std::uint64_t foreign_corrupt_rng_ = 0;
-
+  // Failure counters also gate the warnings: each kind warns when its
+  // counter leaves 0.
   std::atomic<std::uint64_t> frames_sent_{0};
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> frames_malformed_{0};
   std::atomic<std::uint64_t> frames_no_peer_{0};
   std::atomic<std::uint64_t> loopback_messages_{0};
-  std::atomic<std::uint64_t> frames_corrupt_tx_{0};
   std::atomic<std::uint64_t> frames_send_failed_{0};
   std::atomic<std::uint64_t> frames_oversized_{0};
   std::atomic<std::uint64_t> recv_syscalls_{0};

@@ -26,29 +26,24 @@ SimRuntime::SimRuntime(std::uint64_t seed,
 
 TimerId SimRuntime::SimClock::arm(Time delay, std::function<void()> fn) {
   const TimerId id = ++next_timer_;
+  done_.push_back(false);
   // The wrapper (this + id + a std::function) fits InlineFn's 64-byte
   // inline storage, so the simulator's no-allocation scheduling fast path
   // is preserved; the event ORDER is exactly what a direct after() call
   // would produce, which is what keeps fingerprints stable.
   simulator_.after(delay, [this, id, fn = std::move(fn)]() {
-    if (!consume_cancel(id)) fn();
+    if (done_[id]) return;
+    done_[id] = true;
+    fn();
   });
   return id;
 }
 
 void SimRuntime::SimClock::cancel(TimerId id) {
-  if (id == kNoTimer) return;
   // The simulator has no queue removal (its slab recycles slots by fire
-  // order); a cancelled timer is tombstoned and swallowed when it fires.
-  cancelled_.insert(id);
-}
-
-bool SimRuntime::SimClock::consume_cancel(TimerId id) {
-  if (cancelled_.empty()) return false;
-  const auto it = cancelled_.find(id);
-  if (it == cancelled_.end()) return false;
-  cancelled_.erase(it);
-  return true;
+  // order); a cancelled timer stays queued and is swallowed when it fires.
+  // A fired, cancelled or unknown id (kNoTimer included) changes nothing.
+  if (id < done_.size()) done_[id] = true;
 }
 
 // ---- SimTransport ----------------------------------------------------------

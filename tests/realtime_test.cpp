@@ -15,7 +15,10 @@
 // TSan: the interesting bugs here are cross-thread.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
@@ -23,6 +26,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +35,7 @@
 
 #include "agreement/minbft.h"
 #include "agreement/state_machines.h"
+#include "runtime/frame.h"
 #include "runtime/real_runtime.h"
 #include "sim/world.h"
 
@@ -452,19 +457,31 @@ class RecordingReceiver {
   }
 
   void run(std::size_t want) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    loop_ = std::thread([this, want, deadline] {
+    deadline_ = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    loop_ = std::thread([this, want] {
       rt_.run_until(
           [&] {
             return delivered() + rt_.udp_stats().frames_malformed >=
                        want ||
-                   std::chrono::steady_clock::now() > deadline;
+                   std::chrono::steady_clock::now() > deadline_;
           },
           SIZE_MAX);
     });
   }
   void join() { loop_.join(); }
+
+  /// Calls `send`, then waits until one more datagram was delivered or
+  /// counted malformed, or run()'s deadline passed. In this lock-step each
+  /// datagram is read alone, so a small receive buffer drops none.
+  void send_and_wait(const std::function<void()>& send) {
+    const std::size_t before = delivered();
+    const std::uint64_t bad = rt_.udp_stats().frames_malformed;
+    send();
+    while (delivered() == before &&
+           rt_.udp_stats().frames_malformed == bad &&
+           std::chrono::steady_clock::now() < deadline_)
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
 
   const std::vector<Delivered>& got() const { return got_; }
   runtime::UdpTransportStats udp_stats() const { return rt_.udp_stats(); }
@@ -479,6 +496,7 @@ class RecordingReceiver {
   RealRuntime rt_;
   std::vector<Delivered> got_;
   std::atomic<std::size_t> count_{0};
+  std::chrono::steady_clock::time_point deadline_;
   std::thread loop_;
 };
 
@@ -575,21 +593,15 @@ TEST(RealTimeBatchedReceive, LargeThenSmallFramesInOneSlotDecodeExactly) {
   const auto sender = sender_to(rx);
   rx.run(2 * kPairs);
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  auto send_and_wait = [&](Channel ch, Bytes payload) {
-    const std::size_t before = rx.delivered();
-    const std::uint64_t bad = rx.udp_stats().frames_malformed;
-    sender->transport().send(0, RecordingReceiver::kLocal, ch,
-                             std::move(payload));
-    while (rx.delivered() == before &&
-           rx.udp_stats().frames_malformed == bad &&
-           std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+  auto send = [&](Channel ch, Bytes payload) {
+    rx.send_and_wait([&] {
+      sender->transport().send(0, RecordingReceiver::kLocal, ch,
+                               std::move(payload));
+    });
   };
   for (std::size_t i = 0; i < kPairs; ++i) {
-    send_and_wait(1, Bytes(kBig, std::uint8_t{0xAB}));
-    send_and_wait(2, Bytes(i + 1, static_cast<std::uint8_t>(i)));
+    send(1, Bytes(kBig, std::uint8_t{0xAB}));
+    send(2, Bytes(i + 1, static_cast<std::uint8_t>(i)));
   }
   rx.join();
 
@@ -603,6 +615,54 @@ TEST(RealTimeBatchedReceive, LargeThenSmallFramesInOneSlotDecodeExactly) {
   }
   EXPECT_EQ(rx.udp_stats().frames_malformed, 0u);
   EXPECT_EQ(rx.udp_stats().frames_received, 2 * kPairs);
+}
+
+TEST(RealTimeBatchedReceive, EveryFlipAndTruncationIsDeliveredOrMalformed) {
+  // The live receive path against garbage: one valid frame, then its
+  // XOR-0xFF flip at every byte position, then its truncation to every
+  // shorter length (0 included), from a plain UDP socket. Each datagram
+  // must either decode and be delivered, or be counted malformed — never
+  // vanish, crash the receiver, or reach the loop uncounted.
+  const Bytes frame = runtime::encode_frame(
+      0, RecordingReceiver::kLocal, 1, Bytes(16, std::uint8_t{0x5A}));
+  std::vector<Bytes> datagrams{frame};
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    Bytes flipped = frame;
+    flipped[i] ^= 0xFF;
+    datagrams.push_back(std::move(flipped));
+  }
+  for (std::size_t len = 0; len < frame.size(); ++len)
+    datagrams.emplace_back(frame.begin(),
+                           frame.begin() + static_cast<std::ptrdiff_t>(len));
+
+  RecordingReceiver rx;
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_port = htons(rx.port());
+  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  rx.run(datagrams.size());
+  for (const Bytes& d : datagrams) {
+    rx.send_and_wait([&] {
+      EXPECT_EQ(::sendto(fd, d.data(), d.size(), 0,
+                         reinterpret_cast<const sockaddr*>(&to), sizeof(to)),
+                static_cast<ssize_t>(d.size()));
+    });
+  }
+  rx.join();
+  ::close(fd);
+
+  const auto stats = rx.udp_stats();
+  EXPECT_EQ(stats.frames_received + stats.frames_malformed, datagrams.size())
+      << stats.frames_received << " delivered, " << stats.frames_malformed
+      << " malformed";
+  EXPECT_GT(stats.frames_malformed, 0u);
+  EXPECT_EQ(rx.got().size(), stats.frames_received);
+  EXPECT_FALSE(stats.receiver_dead);
+  ASSERT_FALSE(rx.got().empty());
+  EXPECT_EQ(rx.got().front(),
+            RecordingReceiver::Delivered(0, 1, Bytes(16, std::uint8_t{0x5A})));
 }
 
 // ---- one loop per runtime ---------------------------------------------------

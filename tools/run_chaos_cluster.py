@@ -8,9 +8,11 @@ describes, all against examples/minbft_kv in real UDP mode:
                FaultPlan (drop/delay/duplicate/corrupt). One replica is
                kill -9'd mid-workload and restarted from its durable
                directory. Gates: the client commits every request, the
-               restarted replica reports a recovery, and every pair of
+               restarted replica reports a recovery, every pair of
                replica reports agrees on the execution-log chain digest at
-               every common sampled count (prefix consistency).
+               every common sampled count (prefix consistency), and, when
+               the plan's corrupt rate is non-zero, the replicas' summed
+               corrupted= count is too (the plan really corrupted).
 
   --volatile   The negative experiment (the paper's classification made
                executable): the same kill -9, but the victim restarts with
@@ -264,6 +266,14 @@ def run_durable(cluster, args):
     if conflicts:
         print(f"error: execution logs diverged: {conflicts}", file=sys.stderr)
         return 1
+    with open(plan_path) as f:
+        cm = re.search(r"^corrupt=(\d+)", f.read(), re.MULTILINE)
+    corrupted = sum(int(c) for rep in cluster.reports.values()
+                    for c in re.findall(r"corrupted=(\d+)", rep))
+    if cm and int(cm.group(1)) > 0 and corrupted == 0:
+        print("error: the plan sets a corrupt rate but no replica reports "
+              "a corrupted payload", file=sys.stderr)
+        return 1
     caught_up = sum(
         1 for rep in cluster.reports.values()
         if (em := re.search(r"executed=(\d+)", rep))
@@ -275,7 +285,8 @@ def run_durable(cluster, args):
         return 1
     print(f"ok: durable chaos run committed {args.requests}/{args.requests}, "
           f"replica {victim} recovered, logs prefix-consistent "
-          f"({caught_up}/{REPLICAS} fully caught up)")
+          f"({caught_up}/{REPLICAS} fully caught up, {corrupted} payloads "
+          f"corrupted)")
     return 0
 
 
