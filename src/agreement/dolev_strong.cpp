@@ -13,17 +13,7 @@ struct ChainWire {
   Bytes value;
   std::vector<std::pair<ProcessId, crypto::Signature>> signatures;
 
-  void encode(serde::Writer& w) const {
-    w.bytes(value);
-    serde::write(w, signatures);
-  }
-  static ChainWire decode(serde::Reader& r) {
-    ChainWire c;
-    c.value = r.bytes();
-    c.signatures =
-        serde::read<std::vector<std::pair<ProcessId, crypto::Signature>>>(r);
-    return c;
-  }
+  static auto fields(auto& m) { return std::tie(m.value, m.signatures); }
 };
 
 }  // namespace

@@ -49,18 +49,7 @@ struct Prepare {
   std::vector<Command> cmds;
   trusted::UniqueIdentifier ui;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(view);
-    serde::write(w, cmds);
-    ui.encode(w);
-  }
-  static Prepare decode(serde::Reader& r) {
-    Prepare p;
-    p.view = r.uvarint();
-    p.cmds = serde::read<std::vector<Command>>(r);
-    p.ui = trusted::UniqueIdentifier::decode(r);
-    return p;
-  }
+  static auto fields(auto& m) { return std::tie(m.view, m.cmds, m.ui); }
 };
 
 /// A COMMIT carries the full PREPARE content, so it can open the slot at
@@ -73,19 +62,8 @@ struct Commit {
   trusted::UniqueIdentifier primary_ui;
   trusted::UniqueIdentifier replica_ui;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(view);
-    serde::write(w, cmds);
-    primary_ui.encode(w);
-    replica_ui.encode(w);
-  }
-  static Commit decode(serde::Reader& r) {
-    Commit c;
-    c.view = r.uvarint();
-    c.cmds = serde::read<std::vector<Command>>(r);
-    c.primary_ui = trusted::UniqueIdentifier::decode(r);
-    c.replica_ui = trusted::UniqueIdentifier::decode(r);
-    return c;
+  static auto fields(auto& m) {
+    return std::tie(m.view, m.cmds, m.primary_ui, m.replica_ui);
   }
 };
 
@@ -94,12 +72,7 @@ struct Recover {
 
   trusted::UniqueIdentifier ui;  // one fresh UI: where the stream resumes
 
-  void encode(serde::Writer& w) const { ui.encode(w); }
-  static Recover decode(serde::Reader& r) {
-    Recover rc;
-    rc.ui = trusted::UniqueIdentifier::decode(r);
-    return rc;
-  }
+  static auto fields(auto& m) { return std::tie(m.ui); }
 };
 
 }  // namespace minbft_wire

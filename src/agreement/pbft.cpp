@@ -42,19 +42,8 @@ struct PrePrepare {
   std::vector<Command> cmds;
   crypto::Signature sig;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(view);
-    w.uvarint(seq);
-    serde::write(w, cmds);
-    sig.encode(w);
-  }
-  static PrePrepare decode(serde::Reader& r) {
-    PrePrepare p;
-    p.view = r.uvarint();
-    p.seq = r.uvarint();
-    p.cmds = serde::read<std::vector<Command>>(r);
-    p.sig = crypto::Signature::decode(r);
-    return p;
+  static auto fields(auto& m) {
+    return std::tie(m.view, m.seq, m.cmds, m.sig);
   }
 };
 
@@ -66,30 +55,17 @@ struct VoteBody {
   crypto::Digest digest{};
   crypto::Signature sig;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(view);
-    w.uvarint(seq);
-    w.bytes(digest);
-    sig.encode(w);
-  }
-  static VoteBody decode(serde::Reader& r) {
-    VoteBody v;
-    v.view = r.uvarint();
-    v.seq = r.uvarint();
-    r.fixed(v.digest);
-    v.sig = crypto::Signature::decode(r);
-    return v;
+  static auto fields(auto& m) {
+    return std::tie(m.view, m.seq, m.digest, m.sig);
   }
 };
 
 struct Prepare : VoteBody {
   static constexpr wire::MsgDesc kDesc{7, "pbft-prepare"};
-  static Prepare decode(serde::Reader& r) { return {VoteBody::decode(r)}; }
 };
 
 struct Commit : VoteBody {
   static constexpr wire::MsgDesc kDesc{8, "pbft-commit"};
-  static Commit decode(serde::Reader& r) { return {VoteBody::decode(r)}; }
 };
 
 }  // namespace pbft_wire

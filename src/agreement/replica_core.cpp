@@ -26,27 +26,9 @@ struct ReplicaImage {
   Bytes machine_snapshot;
   ExecutionDeduper dedup;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(view);
-    w.uvarint(next_exec);
-    serde::write(w, streams);
-    w.uvarint(stable);
-    w.uvarint(exec_floor);
-    log.encode(w);
-    w.bytes(machine_snapshot);
-    dedup.encode(w);
-  }
-  static ReplicaImage decode(serde::Reader& r) {
-    ReplicaImage img;
-    img.view = r.uvarint();
-    img.next_exec = r.uvarint();
-    img.streams = serde::read<std::map<ProcessId, SeqNum>>(r);
-    img.stable = r.uvarint();
-    img.exec_floor = r.uvarint();
-    img.log = ExecutionLog::decode(r);
-    img.machine_snapshot = r.bytes();
-    img.dedup = ExecutionDeduper::decode(r);
-    return img;
+  static auto fields(auto& m) {
+    return std::tie(m.view, m.next_exec, m.streams, m.stable, m.exec_floor,
+                    m.log, m.machine_snapshot, m.dedup);
   }
 };
 
@@ -57,21 +39,7 @@ struct Checkpoint {
   crypto::Digest digest{};
   crypto::Signature sig;
 
-  void encode_body(serde::Writer& w) const {
-    w.uvarint(executed);
-    w.bytes(digest);
-  }
-  void encode(serde::Writer& w) const {
-    encode_body(w);
-    sig.encode(w);
-  }
-  static Checkpoint decode(serde::Reader& r) {
-    Checkpoint c;
-    c.executed = r.uvarint();
-    r.fixed(c.digest);
-    c.sig = crypto::Signature::decode(r);
-    return c;
-  }
+  static auto fields(auto& m) { return std::tie(m.executed, m.digest, m.sig); }
 };
 
 struct ViewChange {
@@ -83,24 +51,8 @@ struct ViewChange {
   std::vector<Command> pending;    // buffered requests never slotted
   crypto::Signature sig;
 
-  void encode_body(serde::Writer& w) const {
-    w.uvarint(target);
-    w.uvarint(stable);
-    serde::write(w, entries);
-    serde::write(w, pending);
-  }
-  void encode(serde::Writer& w) const {
-    encode_body(w);
-    sig.encode(w);
-  }
-  static ViewChange decode(serde::Reader& r) {
-    ViewChange v;
-    v.target = r.uvarint();
-    v.stable = r.uvarint();
-    v.entries = serde::read<std::vector<VcEntry>>(r);
-    v.pending = serde::read<std::vector<Command>>(r);
-    v.sig = crypto::Signature::decode(r);
-    return v;
+  static auto fields(auto& m) {
+    return std::tie(m.target, m.stable, m.entries, m.pending, m.sig);
   }
 };
 
@@ -111,21 +63,7 @@ struct NewView {
   std::uint64_t executed = 0;  // the new primary's execution count
   crypto::Signature sig;
 
-  void encode_body(serde::Writer& w) const {
-    w.uvarint(target);
-    w.uvarint(executed);
-  }
-  void encode(serde::Writer& w) const {
-    encode_body(w);
-    sig.encode(w);
-  }
-  static NewView decode(serde::Reader& r) {
-    NewView v;
-    v.target = r.uvarint();
-    v.executed = r.uvarint();
-    v.sig = crypto::Signature::decode(r);
-    return v;
-  }
+  static auto fields(auto& m) { return std::tie(m.target, m.executed, m.sig); }
 };
 
 struct StateRequest {
@@ -133,12 +71,7 @@ struct StateRequest {
 
   std::uint64_t have = 0;  // requester's execution count
 
-  void encode(serde::Writer& w) const { w.uvarint(have); }
-  static StateRequest decode(serde::Reader& r) {
-    StateRequest req;
-    req.have = r.uvarint();
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.have); }
 };
 
 struct StateReply {
@@ -147,46 +80,12 @@ struct StateReply {
   ReplicaImage image;
   crypto::Signature sig;
 
-  void encode_body(serde::Writer& w) const { image.encode(w); }
-  void encode(serde::Writer& w) const {
-    encode_body(w);
-    sig.encode(w);
-  }
-  static StateReply decode(serde::Reader& r) {
-    StateReply rep;
-    rep.image = ReplicaImage::decode(r);
-    rep.sig = crypto::Signature::decode(r);
-    return rep;
-  }
+  static auto fields(auto& m) { return std::tie(m.image, m.sig); }
 };
-
-/// The signed binding of a shared message: the protocol's domain tag, then
-/// the message body.
-template <class M>
-serde::ScratchWriter binding(const std::string& tag, const M& m) {
-  serde::ScratchWriter w;
-  w->str(tag);
-  m.encode_body(*w);
-  return w;
-}
 
 }  // namespace replica_wire
 
 using namespace replica_wire;
-
-void VcEntry::encode(serde::Writer& w) const {
-  w.uvarint(view);
-  w.uvarint(seq);
-  cmd.encode(w);
-}
-
-VcEntry VcEntry::decode(serde::Reader& r) {
-  VcEntry e;
-  e.view = r.uvarint();
-  e.seq = r.uvarint();
-  e.cmd = Command::decode(r);
-  return e;
-}
 
 ReplicaCore::ReplicaCore(const Options& options, Protocol protocol,
                          std::unique_ptr<StateMachine> machine)
@@ -416,7 +315,8 @@ void ReplicaCore::maybe_checkpoint() {
   Checkpoint cp;
   cp.executed = log_.size();
   cp.digest = machine_->digest();
-  cp.sig = signer().sign(binding(binding_tag("cp"), cp).buffer());
+  cp.sig =
+      signer().sign(crypto::signed_binding(binding_tag("cp"), cp).buffer());
   protocol_router_.broadcast(cp);
   // A checkpoint boundary is also the durability boundary: crash recovery
   // resumes from the image written here (see DESIGN.md §9).
@@ -426,7 +326,8 @@ void ReplicaCore::maybe_checkpoint() {
 
 void ReplicaCore::handle_checkpoint(ProcessId from, Checkpoint cp) {
   if (cp.sig.key != world().key_of(from)) return;
-  if (!world().keys().verify(cp.sig, binding(binding_tag("cp"), cp).buffer()))
+  if (!world().keys().verify(
+          cp.sig, crypto::signed_binding(binding_tag("cp"), cp).buffer()))
     return;
   note_checkpoint_vote(cp.executed, cp.digest, from);
 }
@@ -533,7 +434,8 @@ void ReplicaCore::start_view_change(ViewNum target) {
   // made it into a slot.
   vc.entries = vc_archive_.entries();
   for (const auto& [key, p] : pending_) vc.pending.push_back(p.cmd);
-  vc.sig = signer().sign(binding(binding_tag("vc"), vc).buffer());
+  vc.sig =
+      signer().sign(crypto::signed_binding(binding_tag("vc"), vc).buffer());
   protocol_router_.broadcast(vc);
   vc_msgs_[target][id()] = VcReport{vc.entries, vc.pending, vc.stable};
   maybe_assume_primacy(target);
@@ -576,7 +478,8 @@ void ReplicaCore::abandon_view_change() {
 void ReplicaCore::handle_view_change(ProcessId from, ViewChange vc) {
   if (vc.target <= view_) return;
   if (vc.sig.key != world().key_of(from)) return;
-  if (!world().keys().verify(vc.sig, binding(binding_tag("vc"), vc).buffer()))
+  if (!world().keys().verify(
+          vc.sig, crypto::signed_binding(binding_tag("vc"), vc).buffer()))
     return;
   vc_msgs_[vc.target][from] =
       VcReport{std::move(vc.entries), std::move(vc.pending), vc.stable};
@@ -625,7 +528,8 @@ void ReplicaCore::maybe_assume_primacy(ViewNum target) {
   NewView nv;
   nv.target = target;
   nv.executed = log_.size();
-  nv.sig = signer().sign(binding(binding_tag("nv"), nv).buffer());
+  nv.sig =
+      signer().sign(crypto::signed_binding(binding_tag("nv"), nv).buffer());
   protocol_router_.broadcast(nv);
   enter_view(target);
 
@@ -698,7 +602,8 @@ void ReplicaCore::handle_new_view(ProcessId from, NewView nv) {
   if (nv.target <= view_) return;
   if (from != primary_of(nv.target)) return;
   if (nv.sig.key != world().key_of(from)) return;
-  if (!world().keys().verify(nv.sig, binding(binding_tag("nv"), nv).buffer()))
+  if (!world().keys().verify(
+          nv.sig, crypto::signed_binding(binding_tag("nv"), nv).buffer()))
     return;
   exec_floor_ = std::max(exec_floor_, nv.executed);
   enter_view(nv.target);
@@ -852,7 +757,8 @@ void ReplicaCore::handle_state_request(ProcessId from, StateRequest req) {
   if (log_.size() <= req.have) return;  // nothing the requester lacks
   StateReply rep;
   rep.image = capture();
-  rep.sig = signer().sign(binding(binding_tag("state"), rep).buffer());
+  rep.sig = signer().sign(
+      crypto::signed_binding(binding_tag("state"), rep).buffer());
   protocol_router_.send(from, rep);
 }
 
@@ -862,7 +768,7 @@ void ReplicaCore::handle_state_reply(ProcessId from, StateReply rep) {
   // bundle, only replay one — and stale bundles are ignored below.
   if (rep.sig.key != world().key_of(from)) return;
   if (!world().keys().verify(
-          rep.sig, binding(binding_tag("state"), rep).buffer()))
+          rep.sig, crypto::signed_binding(binding_tag("state"), rep).buffer()))
     return;
   install_bundle(rep.image);
 }

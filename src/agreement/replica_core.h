@@ -44,8 +44,7 @@ struct VcEntry {
 
   std::pair<ViewNum, SeqNum> order() const { return {view, seq}; }
 
-  void encode(serde::Writer& w) const;
-  static VcEntry decode(serde::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.view, m.seq, m.cmd); }
 };
 
 /// The shared wire messages; defined in replica_core.cpp. They carry tags

@@ -6,53 +6,13 @@
 
 namespace unidir::agreement {
 
-void Command::encode(serde::Writer& w) const {
-  w.uvarint(client);
-  w.uvarint(request_id);
-  w.bytes(op);
-  w.uvarint(acked);
-}
-
-Command Command::decode(serde::Reader& r) {
-  Command c;
-  c.client = serde::read<ProcessId>(r);
-  c.request_id = r.uvarint();
-  c.op = r.bytes();
-  c.acked = r.uvarint();
-  return c;
-}
-
-void Reply::encode(serde::Writer& w) const {
-  w.uvarint(request_id);
-  w.bytes(result);
-}
-
-Reply Reply::decode(serde::Reader& r) {
-  Reply rep;
-  rep.request_id = r.uvarint();
-  rep.result = r.bytes();
-  return rep;
-}
-
-void ExecutionRecord::encode(serde::Writer& w) const {
-  command.encode(w);
-  w.bytes(result);
-}
-
-ExecutionRecord ExecutionRecord::decode(serde::Reader& r) {
-  ExecutionRecord rec;
-  rec.command = Command::decode(r);
-  rec.result = r.bytes();
-  return rec;
-}
-
 namespace {
 
 crypto::Digest chain_step(const crypto::Digest& prev,
                           const ExecutionRecord& rec) {
   serde::ScratchWriter w;
   w->bytes(prev);
-  rec.encode(*w);
+  serde::write(*w, rec);
   return crypto::Sha256::hash(w->buffer());
 }
 
@@ -89,26 +49,13 @@ void ExecutionLog::prune_to(std::uint64_t count) {
   base_ = count;
 }
 
-void ExecutionLog::encode(serde::Writer& w) const {
-  w.uvarint(base_);
-  w.bytes(base_digest_);
-  serde::write(w, records_);
-}
-
-ExecutionLog ExecutionLog::decode(serde::Reader& r) {
-  ExecutionLog log;
-  log.base_ = r.uvarint();
-  r.fixed(log.base_digest_);
-  log.records_ = serde::read<std::vector<ExecutionRecord>>(r);
-  // The per-record chain is derived state: recompute instead of trusting
-  // the wire.
-  log.chain_.reserve(log.records_.size());
-  crypto::Digest prev = log.base_digest_;
-  for (const ExecutionRecord& rec : log.records_) {
+void ExecutionLog::decoded() {
+  chain_.reserve(records_.size());
+  crypto::Digest prev = base_digest_;
+  for (const ExecutionRecord& rec : records_) {
     prev = chain_step(prev, rec);
-    log.chain_.push_back(prev);
+    chain_.push_back(prev);
   }
-  return log;
 }
 
 std::optional<std::string> check_execution_consistency(
@@ -194,43 +141,8 @@ std::vector<std::pair<ProcessId, std::uint64_t>> ExecutionDeduper::floors()
   return out;
 }
 
-void ExecutionDeduper::Window::encode(serde::Writer& w) const {
-  w.uvarint(floor);
-  serde::write(w, replies);
-}
-
-ExecutionDeduper::Window ExecutionDeduper::Window::decode(serde::Reader& r) {
-  Window win;
-  win.floor = r.uvarint();
-  win.replies = serde::read<std::map<std::uint64_t, Bytes>>(r);
-  return win;
-}
-
-void ExecutionDeduper::encode(serde::Writer& w) const {
-  serde::write(w, clients_);
-}
-
-ExecutionDeduper ExecutionDeduper::decode(serde::Reader& r) {
-  ExecutionDeduper d;
-  d.clients_ = serde::read<std::map<ProcessId, Window>>(r);
-  return d;
-}
-
 InstallWitness InstallWitness::of(const ExecutionDeduper& dedup) {
   return {dedup.keys(), dedup.floors()};
-}
-
-void InstallWitness::encode(serde::Writer& w) const {
-  serde::write(w, keys);
-  serde::write(w, floors);
-}
-
-InstallWitness InstallWitness::decode(serde::Reader& r) {
-  InstallWitness iw;
-  iw.keys = serde::read<std::vector<std::pair<ProcessId, std::uint64_t>>>(r);
-  iw.floors =
-      serde::read<std::vector<std::pair<ProcessId, std::uint64_t>>>(r);
-  return iw;
 }
 
 }  // namespace unidir::agreement

@@ -36,8 +36,9 @@ struct Command {
     return {client, request_id};
   }
 
-  void encode(serde::Writer& w) const;
-  static Command decode(serde::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.client, m.request_id, m.op, m.acked);
+  }
 };
 
 struct Reply {
@@ -46,8 +47,7 @@ struct Reply {
   std::uint64_t request_id = 0;
   Bytes result;
 
-  void encode(serde::Writer& w) const;
-  static Reply decode(serde::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.request_id, m.result); }
 };
 
 /// The replicated application. Determinism is the application's
@@ -73,8 +73,7 @@ struct ExecutionRecord {
 
   bool operator==(const ExecutionRecord&) const = default;
 
-  void encode(serde::Writer& w) const;
-  static ExecutionRecord decode(serde::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.command, m.result); }
 };
 
 /// A replica's execution history with a prunable prefix. Checkpointing
@@ -105,10 +104,15 @@ class ExecutionLog {
   /// them into the chain digest.
   void prune_to(std::uint64_t count);
 
-  void encode(serde::Writer& w) const;
-  static ExecutionLog decode(serde::Reader& r);
-
  private:
+  friend struct serde::Access;
+  static auto fields(auto& m) {
+    return std::tie(m.base_, m.base_digest_, m.records_);
+  }
+  /// The per-record chain is derived state: recomputed on decode, never
+  /// trusted from the wire.
+  void decoded();
+
   std::uint64_t base_ = 0;
   crypto::Digest base_digest_{};  // chain digest through base_
   std::vector<ExecutionRecord> records_;
@@ -158,16 +162,15 @@ class ExecutionDeduper {
   std::vector<std::pair<ProcessId, std::uint64_t>> keys() const;
   std::vector<std::pair<ProcessId, std::uint64_t>> floors() const;
 
-  void encode(serde::Writer& w) const;
-  static ExecutionDeduper decode(serde::Reader& r);
-
  private:
+  friend struct serde::Access;
+  static auto fields(auto& m) { return std::tie(m.clients_); }
+
   struct Window {
     std::uint64_t floor = 0;
     std::map<std::uint64_t, Bytes> replies;  // request_id >= floor
 
-    void encode(serde::Writer& w) const;
-    static Window decode(serde::Reader& r);
+    static auto fields(auto& m) { return std::tie(m.floor, m.replies); }
   };
   std::map<ProcessId, Window> clients_;
 };
@@ -182,8 +185,7 @@ struct InstallWitness {
 
   static InstallWitness of(const ExecutionDeduper& dedup);
 
-  void encode(serde::Writer& w) const;
-  static InstallWitness decode(serde::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.keys, m.floors); }
 };
 
 /// A replica's view-change archive: the accepted slots not yet covered by

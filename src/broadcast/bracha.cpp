@@ -13,31 +13,17 @@ struct Body {
   SeqNum seq = 0;
   Bytes message;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(sender);
-    w.uvarint(seq);
-    w.bytes(message);
-  }
-  static Body decode(serde::Reader& r) {
-    Body m;
-    m.sender = serde::read<ProcessId>(r);
-    m.seq = r.uvarint();
-    m.message = r.bytes();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.sender, m.seq, m.message); }
 };
 
 struct InitialMsg : Body {
   static constexpr wire::MsgDesc kDesc{1, "bracha-initial"};
-  static InitialMsg decode(serde::Reader& r) { return {Body::decode(r)}; }
 };
 struct EchoMsg : Body {
   static constexpr wire::MsgDesc kDesc{2, "bracha-echo"};
-  static EchoMsg decode(serde::Reader& r) { return {Body::decode(r)}; }
 };
 struct ReadyMsg : Body {
   static constexpr wire::MsgDesc kDesc{3, "bracha-ready"};
-  static ReadyMsg decode(serde::Reader& r) { return {Body::decode(r)}; }
 };
 
 }  // namespace

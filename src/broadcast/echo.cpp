@@ -14,16 +14,7 @@ struct SendMsg {
   SeqNum seq = 0;
   Bytes message;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(seq);
-    w.bytes(message);
-  }
-  static SendMsg decode(serde::Reader& r) {
-    SendMsg m;
-    m.seq = r.uvarint();
-    m.message = r.bytes();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.seq, m.message); }
 };
 
 struct EchoVote {
@@ -32,16 +23,7 @@ struct EchoVote {
   SeqNum seq = 0;
   crypto::Signature echo_sig;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(seq);
-    echo_sig.encode(w);
-  }
-  static EchoVote decode(serde::Reader& r) {
-    EchoVote m;
-    m.seq = r.uvarint();
-    m.echo_sig = crypto::Signature::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.seq, m.echo_sig); }
 };
 
 struct FinalMsg {
@@ -51,18 +33,8 @@ struct FinalMsg {
   Bytes message;
   std::vector<std::pair<ProcessId, crypto::Signature>> certificate;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(seq);
-    w.bytes(message);
-    serde::write(w, certificate);
-  }
-  static FinalMsg decode(serde::Reader& r) {
-    FinalMsg m;
-    m.seq = r.uvarint();
-    m.message = r.bytes();
-    m.certificate =
-        serde::read<std::vector<std::pair<ProcessId, crypto::Signature>>>(r);
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.seq, m.message, m.certificate);
   }
 };
 

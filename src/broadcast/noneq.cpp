@@ -18,16 +18,7 @@ struct NoneqVal {
     return w.take();
   }
 
-  void encode(serde::Writer& w) const {
-    w.bytes(value);
-    sig.encode(w);
-  }
-  static NoneqVal decode(serde::Reader& r) {
-    NoneqVal v;
-    v.value = r.bytes();
-    v.sig = crypto::Signature::decode(r);
-    return v;
-  }
+  static auto fields(auto& m) { return std::tie(m.value, m.sig); }
 };
 
 /// Batch of forwarded sender values — one round payload's worth.
@@ -36,10 +27,7 @@ struct NoneqBatch {
 
   std::vector<NoneqVal> vals;
 
-  void encode(serde::Writer& w) const { serde::write(w, vals); }
-  static NoneqBatch decode(serde::Reader& r) {
-    return {serde::read<std::vector<NoneqVal>>(r)};
-  }
+  static auto fields(auto& m) { return std::tie(m.vals); }
 };
 
 }  // namespace

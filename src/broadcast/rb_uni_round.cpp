@@ -22,18 +22,7 @@ struct ForwardedVal {
   Bytes value;
   crypto::Signature sig;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(origin);
-    w.bytes(value);
-    sig.encode(w);
-  }
-  static ForwardedVal decode(serde::Reader& r) {
-    ForwardedVal v;
-    v.origin = serde::read<ProcessId>(r);
-    v.value = r.bytes();
-    v.sig = crypto::Signature::decode(r);
-    return v;
-  }
+  static auto fields(auto& m) { return std::tie(m.origin, m.value, m.sig); }
 };
 
 // The old Wire struct switched on a phase byte; each phase is now its own
@@ -45,18 +34,7 @@ struct Phase1Msg {
   Bytes value;
   crypto::Signature sig;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(round);
-    w.bytes(value);
-    sig.encode(w);
-  }
-  static Phase1Msg decode(serde::Reader& r) {
-    Phase1Msg m;
-    m.round = r.uvarint();
-    m.value = r.bytes();
-    m.sig = crypto::Signature::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.round, m.value, m.sig); }
 };
 
 struct Phase2Msg {
@@ -65,16 +43,7 @@ struct Phase2Msg {
   RoundNum round = 0;
   std::vector<ForwardedVal> forwards;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(round);
-    serde::write(w, forwards);
-  }
-  static Phase2Msg decode(serde::Reader& r) {
-    Phase2Msg m;
-    m.round = r.uvarint();
-    m.forwards = serde::read<std::vector<ForwardedVal>>(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.round, m.forwards); }
 };
 
 }  // namespace

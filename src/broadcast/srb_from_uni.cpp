@@ -7,28 +7,7 @@ namespace unidir::broadcast {
 // ---- wire types --------------------------------------------------------------
 
 Bytes SignedVal::signing_bytes() const {
-  serde::Writer w;
-  w.str("srb-uni-val");
-  w.uvarint(sender);
-  w.uvarint(seq);
-  w.bytes(msg);
-  return w.take();
-}
-
-void SignedVal::encode(serde::Writer& w) const {
-  w.uvarint(sender);
-  w.uvarint(seq);
-  w.bytes(msg);
-  sender_sig.encode(w);
-}
-
-SignedVal SignedVal::decode(serde::Reader& r) {
-  SignedVal v;
-  v.sender = serde::read<ProcessId>(r);
-  v.seq = r.uvarint();
-  v.msg = r.bytes();
-  v.sender_sig = crypto::Signature::decode(r);
-  return v;
+  return crypto::signed_binding("srb-uni-val", *this).buffer();
 }
 
 Bytes CopyVote::signing_bytes(const SignedVal& val) {
@@ -38,18 +17,6 @@ Bytes CopyVote::signing_bytes(const SignedVal& val) {
   w.uvarint(val.seq);
   w.bytes(val.msg);
   return w.take();
-}
-
-void CopyVote::encode(serde::Writer& w) const {
-  w.uvarint(copier);
-  sig.encode(w);
-}
-
-CopyVote CopyVote::decode(serde::Reader& r) {
-  CopyVote c;
-  c.copier = serde::read<ProcessId>(r);
-  c.sig = crypto::Signature::decode(r);
-  return c;
 }
 
 Bytes L1Proof::signing_bytes() const {
@@ -65,34 +32,6 @@ Bytes L1Proof::signing_bytes() const {
   w.uvarint(ids.size());
   for (ProcessId id : ids) w.uvarint(id);
   return w.take();
-}
-
-void L1Proof::encode(serde::Writer& w) const {
-  val.encode(w);
-  serde::write(w, copies);
-  w.uvarint(compiler);
-  compiler_sig.encode(w);
-}
-
-L1Proof L1Proof::decode(serde::Reader& r) {
-  L1Proof p;
-  p.val = SignedVal::decode(r);
-  p.copies = serde::read<std::vector<CopyVote>>(r);
-  p.compiler = serde::read<ProcessId>(r);
-  p.compiler_sig = crypto::Signature::decode(r);
-  return p;
-}
-
-void L2Proof::encode(serde::Writer& w) const {
-  val.encode(w);
-  serde::write(w, l1s);
-}
-
-L2Proof L2Proof::decode(serde::Reader& r) {
-  L2Proof p;
-  p.val = SignedVal::decode(r);
-  p.l1s = serde::read<std::vector<L1Proof>>(r);
-  return p;
 }
 
 // ---- validation ----------------------------------------------------------------
@@ -134,22 +73,6 @@ bool valid_l2(const sim::World& w, const L2Proof& p, std::size_t t) {
   // t+1 distinct compilers ⇒ at least one correct process vouched, which
   // is the anchor of the no-conflicting-L2 argument.
   return compilers.size() >= t + 1;
-}
-
-void UniSlotPayload::encode(serde::Writer& w) const {
-  serde::write(w, my_vals);
-  serde::write(w, copies);
-  serde::write(w, l1s);
-  serde::write(w, l2s);
-}
-
-UniSlotPayload UniSlotPayload::decode(serde::Reader& r) {
-  UniSlotPayload p;
-  p.my_vals = serde::read<std::vector<SignedVal>>(r);
-  p.copies = serde::read<std::vector<std::pair<SignedVal, CopyVote>>>(r);
-  p.l1s = serde::read<std::vector<L1Proof>>(r);
-  p.l2s = serde::read<std::vector<L2Proof>>(r);
-  return p;
 }
 
 // ---- engine ---------------------------------------------------------------------

@@ -51,9 +51,11 @@ struct SignedVal {
     return sender == o.sender && seq == o.seq && msg == o.msg;
   }
 
+  /// What sender_sig covers: every field before it.
   Bytes signing_bytes() const;
-  void encode(serde::Writer& w) const;
-  static SignedVal decode(serde::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.sender, m.seq, m.msg, m.sender_sig);
+  }
 };
 
 /// One process's counter-signature on a value it adopted.
@@ -62,8 +64,7 @@ struct CopyVote {
   crypto::Signature sig;
 
   static Bytes signing_bytes(const SignedVal& val);
-  void encode(serde::Writer& w) const;
-  static CopyVote decode(serde::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.copier, m.sig); }
 };
 
 /// t+1 matching copies, compiled and signed by one process.
@@ -74,8 +75,9 @@ struct L1Proof {
   crypto::Signature compiler_sig;
 
   Bytes signing_bytes() const;
-  void encode(serde::Writer& w) const;
-  static L1Proof decode(serde::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.val, m.copies, m.compiler, m.compiler_sig);
+  }
 };
 
 /// t+1 matching L1 proofs by distinct compilers. Self-contained: anyone
@@ -84,8 +86,7 @@ struct L2Proof {
   SignedVal val;
   std::vector<L1Proof> l1s;
 
-  void encode(serde::Writer& w) const;
-  static L2Proof decode(serde::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.val, m.l1s); }
 };
 
 /// The full slot state a process publishes each round. Public so that
@@ -99,8 +100,9 @@ struct UniSlotPayload {
   std::vector<L1Proof> l1s;
   std::vector<L2Proof> l2s;
 
-  void encode(serde::Writer& w) const;
-  static UniSlotPayload decode(serde::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.my_vals, m.copies, m.l1s, m.l2s);
+  }
 };
 
 // ---- validation (all self-contained, usable by any module) -----------------

@@ -15,28 +15,8 @@ struct HubWire {
   Bytes message;
   crypto::Signature hub_sig;
 
-  Bytes signed_bytes() const {
-    serde::Writer w;
-    w.str("srb-hub");
-    w.uvarint(sender);
-    w.uvarint(seq);
-    w.bytes(message);
-    return w.take();
-  }
-
-  void encode(serde::Writer& w) const {
-    w.uvarint(sender);
-    w.uvarint(seq);
-    w.bytes(message);
-    hub_sig.encode(w);
-  }
-  static HubWire decode(serde::Reader& r) {
-    HubWire h;
-    h.sender = serde::read<ProcessId>(r);
-    h.seq = r.uvarint();
-    h.message = r.bytes();
-    h.hub_sig = crypto::Signature::decode(r);
-    return h;
+  static auto fields(auto& m) {
+    return std::tie(m.sender, m.seq, m.message, m.hub_sig);
   }
 };
 
@@ -55,7 +35,8 @@ SeqNum SrbHub::submit(ProcessId sender, const Bytes& message) {
   wire.sender = sender;
   wire.seq = seq;
   wire.message = message;
-  wire.hub_sig = hub_key_.sign(wire.signed_bytes());
+  wire.hub_sig =
+      hub_key_.sign(crypto::signed_binding("srb-hub", wire).buffer());
   // Ship one copy per process (including the sender: RB delivers to self),
   // each under independent adversary control.
   wire::broadcast(world_, sender, channel_, wire, /*include_self=*/true);
@@ -68,7 +49,8 @@ bool SrbHub::verify(ProcessId sender, SeqNum seq, const Bytes& message,
   wire.sender = sender;
   wire.seq = seq;
   wire.message = message;
-  return world_.keys().verify(sig, wire.signed_bytes());
+  return world_.keys().verify(
+      sig, crypto::signed_binding("srb-hub", wire).buffer());
 }
 
 SrbHubEndpoint::SrbHubEndpoint(SrbHub& hub, sim::Process& host)

@@ -6,14 +6,24 @@
 // same bytes. Integers are encoded as LEB128 varints; byte strings are
 // length-prefixed; containers are size-prefixed and element-ordered.
 //
-// User types participate by providing member functions
-//     void encode(Writer&) const;
-//     static T decode(Reader&);
-// or via the free-function customization point `serde_encode` /
-// `serde_decode` found by ADL (used for third-party and enum types).
+// A type takes part by declaring its fields once, in wire order:
+//
+//     static auto fields(auto& m) { return std::tie(m.view, m.cmds, m.ui); }
+//
+// That one list serves both directions — write() walks it over a const
+// object, read() over a default-constructed one — so a format cannot be
+// stated twice and drift. Derived types inherit their base's list. A type
+// with private state keeps `fields` private and befriends serde::Access.
+// An optional member `void decoded()` runs after the last field is read:
+// it throws DecodeError to reject a value the fields alone admit (an
+// out-of-range enum, a restart before its crash), or rebuilds derived
+// state. Every count is bounded by the remaining input and every integer
+// by its field's range, so malformed input throws DecodeError and nothing
+// else.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <concepts>
 #include <cstdint>
 #include <limits>
@@ -23,6 +33,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -147,13 +158,27 @@ class Reader {
 
 // ---- generic encode/decode ------------------------------------------------
 
-template <typename T>
-concept MemberEncodable = requires(const T& t, Writer& w) { t.encode(w); };
-
-template <typename T>
-concept MemberDecodable = requires(Reader& r) {
-  { T::decode(r) } -> std::convertible_to<T>;
+/// The codec's one way into a type's field list and decoded() hook. A
+/// type with private state declares `friend struct serde::Access;`.
+struct Access {
+  template <typename T>
+  static auto fields(T& v) -> decltype(std::remove_const_t<T>::fields(v)) {
+    return std::remove_const_t<T>::fields(v);
+  }
+  template <typename T>
+  static auto decoded(T& v) -> decltype(v.decoded()) {
+    return v.decoded();
+  }
 };
+
+/// A type that declares its field list.
+template <typename T>
+concept Fielded = requires(T& v) { Access::fields(v); };
+
+/// An enum stored in one byte.
+template <typename T>
+concept ByteEnum =
+    std::is_enum_v<T> && std::same_as<std::underlying_type_t<T>, std::uint8_t>;
 
 template <typename T>
   requires std::unsigned_integral<T>
@@ -171,9 +196,21 @@ inline void write(Writer& w, bool v) { w.boolean(v); }
 inline void write(Writer& w, const Bytes& v) { w.bytes(v); }
 inline void write(Writer& w, const std::string& v) { w.str(v); }
 
-template <MemberEncodable T>
+template <ByteEnum T>
+void write(Writer& w, T v) {
+  w.u8(static_cast<std::uint8_t>(v));
+}
+
+/// A digest or MAC: length-prefixed, like any byte string.
+template <std::size_t N>
+void write(Writer& w, const std::array<std::uint8_t, N>& v) {
+  w.bytes(v);
+}
+
+template <Fielded T>
 void write(Writer& w, const T& v) {
-  v.encode(w);
+  std::apply([&w](const auto&... f) { (write(w, f), ...); },
+             Access::fields(v));
 }
 
 template <typename T>
@@ -203,6 +240,17 @@ void write(Writer& w, const std::map<K, V>& v) {
     write(w, k);
     write(w, val);
   }
+}
+
+/// Writes every field of `v` but the last — for a message whose last field
+/// is a signature, the body that signature covers.
+template <Fielded T>
+void write_all_but_last(Writer& w, const T& v) {
+  const auto f = Access::fields(v);
+  constexpr std::size_t n = std::tuple_size_v<decltype(f)>;
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (write(w, std::get<I>(f)), ...);
+  }(std::make_index_sequence<n - 1>{});
 }
 
 template <typename T>
@@ -235,6 +283,7 @@ struct Decode<bool> {
   static bool run(Reader& r) { return r.boolean(); }
 };
 
+/// The one place a length-prefixed byte string field is read.
 template <>
 struct Decode<Bytes> {
   static Bytes run(Reader& r) { return r.bytes(); }
@@ -245,9 +294,35 @@ struct Decode<std::string> {
   static std::string run(Reader& r) { return r.str(); }
 };
 
-template <MemberDecodable T>
+/// Any byte is representable; a type whose enum has gaps rejects the
+/// values it does not name in its decoded() hook.
+template <ByteEnum T>
 struct Decode<T> {
-  static T run(Reader& r) { return T::decode(r); }
+  static T run(Reader& r) { return static_cast<T>(r.u8()); }
+};
+
+/// A length other than N is a DecodeError.
+template <std::size_t N>
+struct Decode<std::array<std::uint8_t, N>> {
+  static std::array<std::uint8_t, N> run(Reader& r) {
+    std::array<std::uint8_t, N> out{};
+    r.fixed(out);
+    return out;
+  }
+};
+
+template <Fielded T>
+struct Decode<T> {
+  static T run(Reader& r) {
+    T v;
+    std::apply(
+        [&r](auto&... f) {
+          ((f = Decode<std::remove_reference_t<decltype(f)>>::run(r)), ...);
+        },
+        Access::fields(v));
+    if constexpr (requires { Access::decoded(v); }) Access::decoded(v);
+    return v;
+  }
 };
 
 template <typename T>

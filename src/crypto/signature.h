@@ -27,6 +27,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/bytes.h"
@@ -46,18 +49,25 @@ struct Signature {
 
   bool operator==(const Signature&) const = default;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(key);
-    w.bytes(mac);
-  }
   /// A tag of any length but 32 bytes is a DecodeError.
-  static Signature decode(serde::Reader& r) {
-    Signature s;
-    s.key = r.uvarint();
-    r.fixed(s.mac);
-    return s;
-  }
+  static auto fields(auto& m) { return std::tie(m.key, m.mac); }
 };
+
+/// What a signed message's trailing signature covers: a domain tag, then
+/// every field before the signature, encoded as on the wire.
+template <serde::Fielded M>
+serde::ScratchWriter signed_binding(std::string_view tag, const M& m) {
+  using Fields = decltype(serde::Access::fields(m));
+  static_assert(
+      std::is_same_v<std::remove_cvref_t<std::tuple_element_t<
+                         std::tuple_size_v<Fields> - 1, Fields>>,
+                     Signature>,
+      "a signed message's last field is its signature");
+  serde::ScratchWriter w;
+  w->str(tag);
+  serde::write_all_but_last(*w, m);
+  return w;
+}
 
 /// Counters for the verification memo (bench reporting).
 struct VerifyStats {

@@ -38,34 +38,6 @@ std::string adversary_name(AdversaryKind a) {
   return "?";
 }
 
-void CrashEvent::encode(serde::Writer& w) const {
-  w.uvarint(victim);
-  w.uvarint(when);
-}
-
-CrashEvent CrashEvent::decode(serde::Reader& r) {
-  CrashEvent e;
-  e.victim = serde::read<ProcessId>(r);
-  e.when = r.uvarint();
-  return e;
-}
-
-void RecoveryEvent::encode(serde::Writer& w) const {
-  w.uvarint(victim);
-  w.uvarint(crash_at);
-  w.uvarint(restart_at);
-}
-
-RecoveryEvent RecoveryEvent::decode(serde::Reader& r) {
-  RecoveryEvent e;
-  e.victim = serde::read<ProcessId>(r);
-  e.crash_at = r.uvarint();
-  e.restart_at = r.uvarint();
-  if (e.restart_at <= e.crash_at)
-    throw serde::DecodeError("RecoveryEvent restart precedes crash");
-  return e;
-}
-
 ScenarioSpec ScenarioSpec::materialize(ProtocolKind protocol,
                                        AdversaryKind adversary,
                                        std::uint64_t seed) {
@@ -224,73 +196,14 @@ std::string ScenarioSpec::describe() const {
   return os.str();
 }
 
-void ScenarioSpec::encode(serde::Writer& w) const {
-  w.u8(static_cast<std::uint8_t>(protocol));
-  w.u8(static_cast<std::uint8_t>(adversary));
-  w.uvarint(seed);
-  w.uvarint(n);
-  w.uvarint(f);
-  w.uvarint(max_delay);
-  w.uvarint(max_copies);
-  w.uvarint(gst);
-  w.uvarint(gst_delta);
-  w.uvarint(gst_pre_extra);
-  w.uvarint(pipeline_depth);
-  w.uvarint(resend_timeout);
-  w.uvarint(view_change_timeout);
-  w.uvarint(commit_quorum);
-  serde::write(w, requests);
-  serde::write(w, crashes);
-  w.uvarint(max_events);
-  w.uvarint(mutate_rate);
-  serde::write(w, recoveries);
-  w.u8(volatile_trusted_state ? 1 : 0);
-  w.uvarint(client_max_attempts);
-  w.uvarint(checkpoint_interval);
-  w.u8(trace ? 1 : 0);
-  w.uvarint(batch_size);
-  w.uvarint(replica_pipeline);
-  workload.encode(w);
-}
-
-ScenarioSpec ScenarioSpec::decode(serde::Reader& r) {
-  ScenarioSpec s;
-  const std::uint8_t p = r.u8();
-  if (p > static_cast<std::uint8_t>(ProtocolKind::Pbft))
+void ScenarioSpec::decoded() const {
+  if (protocol > ProtocolKind::Pbft)
     throw serde::DecodeError("bad ProtocolKind");
-  s.protocol = static_cast<ProtocolKind>(p);
-  const std::uint8_t a = r.u8();
-  if (a > static_cast<std::uint8_t>(AdversaryKind::Mutating))
+  if (adversary > AdversaryKind::Mutating)
     throw serde::DecodeError("bad AdversaryKind");
-  s.adversary = static_cast<AdversaryKind>(a);
-  s.seed = r.uvarint();
-  s.n = r.uvarint();
-  s.f = r.uvarint();
-  s.max_delay = r.uvarint();
-  s.max_copies = r.uvarint();
-  s.gst = r.uvarint();
-  s.gst_delta = r.uvarint();
-  s.gst_pre_extra = r.uvarint();
-  s.pipeline_depth = r.uvarint();
-  s.resend_timeout = r.uvarint();
-  s.view_change_timeout = r.uvarint();
-  s.commit_quorum = r.uvarint();
-  s.requests = serde::read<std::vector<Bytes>>(r);
-  s.crashes = serde::read<std::vector<CrashEvent>>(r);
-  s.max_events = r.uvarint();
-  s.mutate_rate = r.uvarint();
-  s.recoveries = serde::read<std::vector<RecoveryEvent>>(r);
-  s.volatile_trusted_state = r.u8() != 0;
-  s.client_max_attempts = r.uvarint();
-  s.checkpoint_interval = r.uvarint();
-  s.trace = r.u8() != 0;
-  s.batch_size = r.uvarint();
-  if (s.batch_size == 0) throw serde::DecodeError("batch_size must be >= 1");
-  s.replica_pipeline = r.uvarint();
-  if (s.replica_pipeline == 0)
+  if (batch_size == 0) throw serde::DecodeError("batch_size must be >= 1");
+  if (replica_pipeline == 0)
     throw serde::DecodeError("replica_pipeline must be >= 1");
-  s.workload = sim::WorkloadSpec::decode(r);
-  return s;
 }
 
 std::string ScenarioSpec::to_hex() const {

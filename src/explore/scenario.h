@@ -47,8 +47,7 @@ struct CrashEvent {
 
   bool operator==(const CrashEvent&) const = default;
 
-  void encode(serde::Writer& w) const;
-  static CrashEvent decode(serde::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.victim, m.when); }
 };
 
 /// A crash paired with a later restart (the crash-recovery fault model,
@@ -61,8 +60,13 @@ struct RecoveryEvent {
 
   bool operator==(const RecoveryEvent&) const = default;
 
-  void encode(serde::Writer& w) const;
-  static RecoveryEvent decode(serde::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.victim, m.crash_at, m.restart_at);
+  }
+  void decoded() const {
+    if (restart_at <= crash_at)
+      throw serde::DecodeError("RecoveryEvent restart precedes crash");
+  }
 };
 
 struct ScenarioSpec {
@@ -157,8 +161,19 @@ struct ScenarioSpec {
 
   std::string describe() const;
 
-  void encode(serde::Writer& w) const;
-  static ScenarioSpec decode(serde::Reader& r);
+  /// Wire order, not declaration order: fields were appended as the spec
+  /// grew, and old hex repro snippets must keep decoding.
+  static auto fields(auto& m) {
+    return std::tie(m.protocol, m.adversary, m.seed, m.n, m.f, m.max_delay,
+                    m.max_copies, m.gst, m.gst_delta, m.gst_pre_extra,
+                    m.pipeline_depth, m.resend_timeout, m.view_change_timeout,
+                    m.commit_quorum, m.requests, m.crashes, m.max_events,
+                    m.mutate_rate, m.recoveries, m.volatile_trusted_state,
+                    m.client_max_attempts, m.checkpoint_interval, m.trace,
+                    m.batch_size, m.replica_pipeline, m.workload);
+  }
+  /// Rejects unknown protocol/adversary kinds and zero batching knobs.
+  void decoded() const;
   std::string to_hex() const;
   static ScenarioSpec from_hex(std::string_view hex);
 };

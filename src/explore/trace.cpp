@@ -28,22 +28,6 @@ MessageKey MessageKey::of(const sim::Envelope& env) {
   return k;
 }
 
-void MessageKey::encode(serde::Writer& w) const {
-  w.uvarint(from);
-  w.uvarint(to);
-  w.uvarint(channel);
-  w.uvarint(payload_hash);
-}
-
-MessageKey MessageKey::decode(serde::Reader& r) {
-  MessageKey k;
-  k.from = serde::read<ProcessId>(r);
-  k.to = serde::read<ProcessId>(r);
-  k.channel = serde::read<sim::Channel>(r);
-  k.payload_hash = r.uvarint();
-  return k;
-}
-
 std::string ScheduleDecision::describe() const {
   std::ostringstream os;
   os << decision_kind_name(kind) << " " << key.from << "->" << key.to
@@ -55,27 +39,6 @@ std::string ScheduleDecision::describe() const {
   else
     os << " delay=" << delay;
   return os.str();
-}
-
-void ScheduleDecision::encode(serde::Writer& w) const {
-  w.u8(static_cast<std::uint8_t>(kind));
-  key.encode(w);
-  w.boolean(held);
-  w.uvarint(delay);
-  w.uvarint(copies);
-}
-
-ScheduleDecision ScheduleDecision::decode(serde::Reader& r) {
-  ScheduleDecision d;
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(DecisionKind::Release))
-    throw serde::DecodeError("bad DecisionKind");
-  d.kind = static_cast<DecisionKind>(kind);
-  d.key = MessageKey::decode(r);
-  d.held = r.boolean();
-  d.delay = r.uvarint();
-  d.copies = r.uvarint();
-  return d;
 }
 
 std::string ScheduleTrace::summary() const {
@@ -105,16 +68,6 @@ std::string ScheduleTrace::summary() const {
      << " copy choices, " << releases << " releases, " << holds
      << " holds, max delay " << max_delay << ")";
   return os.str();
-}
-
-void ScheduleTrace::encode(serde::Writer& w) const {
-  serde::write(w, decisions);
-}
-
-ScheduleTrace ScheduleTrace::decode(serde::Reader& r) {
-  ScheduleTrace t;
-  t.decisions = serde::read<std::vector<ScheduleDecision>>(r);
-  return t;
 }
 
 std::string ScheduleTrace::to_hex() const {

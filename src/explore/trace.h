@@ -44,8 +44,9 @@ struct MessageKey {
 
   auto operator<=>(const MessageKey&) const = default;
 
-  void encode(serde::Writer& w) const;
-  static MessageKey decode(serde::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.from, m.to, m.channel, m.payload_hash);
+  }
 };
 
 /// One adversary decision. `held`/`delay` apply to Send and Release
@@ -61,8 +62,13 @@ struct ScheduleDecision {
 
   std::string describe() const;
 
-  void encode(serde::Writer& w) const;
-  static ScheduleDecision decode(serde::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.kind, m.key, m.held, m.delay, m.copies);
+  }
+  void decoded() const {
+    if (kind > DecisionKind::Release)
+      throw serde::DecodeError("bad DecisionKind");
+  }
 };
 
 struct ScheduleTrace {
@@ -74,8 +80,7 @@ struct ScheduleTrace {
   /// and the maximum delay present.
   std::string summary() const;
 
-  void encode(serde::Writer& w) const;
-  static ScheduleTrace decode(serde::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.decisions); }
 
   /// Hex round-trip, the form replay snippets embed.
   std::string to_hex() const;

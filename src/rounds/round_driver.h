@@ -119,16 +119,7 @@ struct RoundMsg {
   RoundNum round = 0;
   Bytes message;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(round);
-    w.bytes(message);
-  }
-  static RoundMsg decode(serde::Reader& r) {
-    RoundMsg m;
-    m.round = r.uvarint();
-    m.message = r.bytes();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.round, m.message); }
 };
 
 }  // namespace unidir::rounds

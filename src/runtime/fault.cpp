@@ -45,58 +45,6 @@ std::string_view trim(std::string_view s) {
 
 }  // namespace
 
-void PartitionEpoch::encode(serde::Writer& w) const {
-  w.uvarint(start);
-  w.uvarint(end);
-  w.uvarint(groups.size());
-  for (const auto& group : groups) {
-    w.uvarint(group.size());
-    for (ProcessId p : group) w.uvarint(p);
-  }
-}
-
-PartitionEpoch PartitionEpoch::decode(serde::Reader& r) {
-  PartitionEpoch e;
-  e.start = r.uvarint();
-  e.end = r.uvarint();
-  const std::uint64_t n_groups = r.uvarint();
-  e.groups.reserve(n_groups);
-  for (std::uint64_t g = 0; g < n_groups; ++g) {
-    std::vector<ProcessId> group(r.uvarint());
-    for (ProcessId& p : group) p = ProcessId(r.uvarint());
-    e.groups.push_back(std::move(group));
-  }
-  return e;
-}
-
-void FaultPlan::encode(serde::Writer& w) const {
-  w.uvarint(seed);
-  w.uvarint(drop_per_million);
-  w.uvarint(duplicate_per_million);
-  w.uvarint(delay_per_million);
-  w.uvarint(corrupt_per_million);
-  w.uvarint(delay_min_ticks);
-  w.uvarint(delay_max_ticks);
-  w.uvarint(partitions.size());
-  for (const auto& e : partitions) e.encode(w);
-}
-
-FaultPlan FaultPlan::decode(serde::Reader& r) {
-  FaultPlan plan;
-  plan.seed = r.uvarint();
-  plan.drop_per_million = std::uint32_t(r.uvarint());
-  plan.duplicate_per_million = std::uint32_t(r.uvarint());
-  plan.delay_per_million = std::uint32_t(r.uvarint());
-  plan.corrupt_per_million = std::uint32_t(r.uvarint());
-  plan.delay_min_ticks = r.uvarint();
-  plan.delay_max_ticks = r.uvarint();
-  const std::uint64_t n = r.uvarint();
-  plan.partitions.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    plan.partitions.push_back(PartitionEpoch::decode(r));
-  return plan;
-}
-
 std::string FaultPlan::to_text() const {
   std::ostringstream os;
   os << "seed=" << seed << "\n";

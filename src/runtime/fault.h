@@ -48,8 +48,7 @@ struct PartitionEpoch {
   Time end = 0;
   std::vector<std::vector<ProcessId>> groups;
 
-  void encode(serde::Writer& w) const;
-  static PartitionEpoch decode(serde::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.start, m.end, m.groups); }
   bool operator==(const PartitionEpoch&) const = default;
 };
 
@@ -72,8 +71,11 @@ struct FaultPlan {
            !partitions.empty();
   }
 
-  void encode(serde::Writer& w) const;
-  static FaultPlan decode(serde::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.seed, m.drop_per_million, m.duplicate_per_million,
+                    m.delay_per_million, m.corrupt_per_million,
+                    m.delay_min_ticks, m.delay_max_ticks, m.partitions);
+  }
   bool operator==(const FaultPlan&) const = default;
 
   /// Text form, one `key=value` per line — writable from stdlib-only

@@ -66,30 +66,4 @@ std::string WorkloadSpec::describe() const {
   return os.str();
 }
 
-void WorkloadSpec::encode(serde::Writer& w) const {
-  w.uvarint(clients);
-  w.uvarint(requests_per_client);
-  w.u8(open_loop ? 1 : 0);
-  w.uvarint(mean_interarrival);
-  w.uvarint(max_outstanding);
-  w.uvarint(key_space);
-  w.uvarint(hot_key_percent);
-  w.uvarint(hot_keys);
-  w.uvarint(seed);
-}
-
-WorkloadSpec WorkloadSpec::decode(serde::Reader& r) {
-  WorkloadSpec s;
-  s.clients = r.uvarint();
-  s.requests_per_client = r.uvarint();
-  s.open_loop = r.u8() != 0;
-  s.mean_interarrival = r.uvarint();
-  s.max_outstanding = r.uvarint();
-  s.key_space = r.uvarint();
-  s.hot_key_percent = r.uvarint();
-  s.hot_keys = r.uvarint();
-  s.seed = r.uvarint();
-  return s;
-}
-
 }  // namespace unidir::sim

@@ -75,8 +75,11 @@ struct WorkloadSpec {
 
   std::string describe() const;
 
-  void encode(serde::Writer& w) const;
-  static WorkloadSpec decode(serde::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.clients, m.requests_per_client, m.open_loop,
+                    m.mean_interarrival, m.max_outstanding, m.key_space,
+                    m.hot_key_percent, m.hot_keys, m.seed);
+  }
 };
 
 }  // namespace unidir::sim

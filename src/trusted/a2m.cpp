@@ -5,39 +5,7 @@
 namespace unidir::trusted {
 
 Bytes A2mAttestation::signing_bytes() const {
-  serde::Writer w;
-  w.str("a2m-attest");
-  w.uvarint(owner);
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.uvarint(log);
-  w.uvarint(seq);
-  w.bytes(value);
-  w.bytes(nonce);
-  return w.take();
-}
-
-void A2mAttestation::encode(serde::Writer& w) const {
-  w.uvarint(owner);
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.uvarint(log);
-  w.uvarint(seq);
-  w.bytes(value);
-  w.bytes(nonce);
-  device_sig.encode(w);
-}
-
-A2mAttestation A2mAttestation::decode(serde::Reader& r) {
-  A2mAttestation a;
-  a.owner = serde::read<ProcessId>(r);
-  const std::uint8_t k = r.u8();
-  if (k < 1 || k > 2) throw serde::DecodeError("bad attestation kind");
-  a.kind = static_cast<Kind>(k);
-  a.log = r.uvarint();
-  a.seq = r.uvarint();
-  a.value = r.bytes();
-  a.nonce = r.bytes();
-  a.device_sig = crypto::Signature::decode(r);
-  return a;
+  return crypto::signed_binding("a2m-attest", *this).buffer();
 }
 
 A2m A2mAuthority::make_device(ProcessId owner) {

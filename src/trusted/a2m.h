@@ -38,9 +38,16 @@ struct A2mAttestation {
 
   bool operator==(const A2mAttestation&) const = default;
 
+  /// What device_sig covers: every field before it.
   Bytes signing_bytes() const;
-  void encode(serde::Writer& w) const;
-  static A2mAttestation decode(serde::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.owner, m.kind, m.log, m.seq, m.value, m.nonce,
+                    m.device_sig);
+  }
+  void decoded() const {
+    if (kind != Kind::Lookup && kind != Kind::End)
+      throw serde::DecodeError("bad attestation kind");
+  }
 };
 
 class A2m;

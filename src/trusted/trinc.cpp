@@ -5,34 +5,7 @@
 namespace unidir::trusted {
 
 Bytes TrincAttestation::signing_bytes() const {
-  serde::Writer w;
-  w.str("trinc-attest");
-  w.uvarint(owner);
-  w.uvarint(counter);
-  w.uvarint(prev);
-  w.uvarint(seq);
-  w.bytes(message);
-  return w.take();
-}
-
-void TrincAttestation::encode(serde::Writer& w) const {
-  w.uvarint(owner);
-  w.uvarint(counter);
-  w.uvarint(prev);
-  w.uvarint(seq);
-  w.bytes(message);
-  device_sig.encode(w);
-}
-
-TrincAttestation TrincAttestation::decode(serde::Reader& r) {
-  TrincAttestation a;
-  a.owner = serde::read<ProcessId>(r);
-  a.counter = r.uvarint();
-  a.prev = r.uvarint();
-  a.seq = r.uvarint();
-  a.message = r.bytes();
-  a.device_sig = crypto::Signature::decode(r);
-  return a;
+  return crypto::signed_binding("trinc-attest", *this).buffer();
 }
 
 Trinket TrincAuthority::make_trinket(ProcessId owner) {

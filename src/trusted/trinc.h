@@ -40,9 +40,12 @@ struct TrincAttestation {
 
   bool operator==(const TrincAttestation&) const = default;
 
+  /// What device_sig covers: every field before it.
   Bytes signing_bytes() const;
-  void encode(serde::Writer& w) const;
-  static TrincAttestation decode(serde::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.owner, m.counter, m.prev, m.seq, m.message,
+                    m.device_sig);
+  }
 };
 
 class Trinket;

@@ -10,35 +10,10 @@ struct AttestWire {
   SeqNum c = 0;
   Bytes m;
 
-  void encode(serde::Writer& w) const {
-    w.uvarint(c);
-    w.bytes(m);
-  }
-  static AttestWire decode(serde::Reader& r) {
-    AttestWire a;
-    a.c = r.uvarint();
-    a.m = r.bytes();
-    return a;
-  }
+  static auto fields(auto& a) { return std::tie(a.c, a.m); }
 };
 
 }  // namespace
-
-void SrbAttestation::encode(serde::Writer& w) const {
-  w.uvarint(owner);
-  w.uvarint(broadcast_seq);
-  w.uvarint(seq);
-  w.bytes(message);
-}
-
-SrbAttestation SrbAttestation::decode(serde::Reader& r) {
-  SrbAttestation a;
-  a.owner = serde::read<ProcessId>(r);
-  a.broadcast_seq = r.uvarint();
-  a.seq = r.uvarint();
-  a.message = r.bytes();
-  return a;
-}
 
 TrincFromSrb::TrincFromSrb(broadcast::SrbEndpoint& srb, ProcessId self,
                            wire::StatsHub* hub)

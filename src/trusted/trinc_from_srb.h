@@ -36,8 +36,9 @@ struct SrbAttestation {
 
   bool operator==(const SrbAttestation&) const = default;
 
-  void encode(serde::Writer& w) const;
-  static SrbAttestation decode(serde::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.owner, m.broadcast_seq, m.seq, m.message);
+  }
 };
 
 class TrincFromSrb {

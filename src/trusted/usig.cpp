@@ -26,22 +26,6 @@ Bytes usig_program(Bytes& state, const Bytes& input) {
 
 }  // namespace
 
-void UniqueIdentifier::encode(serde::Writer& w) const {
-  w.uvarint(counter);
-  w.bytes(digest);
-  sig.encode(w);
-}
-
-UniqueIdentifier UniqueIdentifier::decode(serde::Reader& r) {
-  UniqueIdentifier ui;
-  ui.counter = r.uvarint();
-  // Runs at the wire decode boundary on attacker-controlled bytes: a bad
-  // digest length is a DecodeError (counted, dropped).
-  r.fixed(ui.digest);
-  ui.sig = crypto::Signature::decode(r);
-  return ui;
-}
-
 UsigEnclave::UsigEnclave(crypto::KeyRegistry& keys)
     : enclave_(keys, usig_program, serde::encode(SeqNum{0})) {}
 

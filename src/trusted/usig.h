@@ -24,8 +24,9 @@ struct UniqueIdentifier {
 
   bool operator==(const UniqueIdentifier&) const = default;
 
-  void encode(serde::Writer& w) const;
-  static UniqueIdentifier decode(serde::Reader& r);
+  /// Decoded at the wire boundary from attacker-controlled bytes: a bad
+  /// digest length is a DecodeError (counted, dropped).
+  static auto fields(auto& m) { return std::tie(m.counter, m.digest, m.sig); }
 };
 
 class UsigEnclave {

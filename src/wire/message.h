@@ -1,12 +1,12 @@
 // Typed wire messages.
 //
-// A wire message is a plain struct that (a) round-trips through serde via
-// the usual member encode/decode pair and (b) names itself with a static
-// descriptor `kDesc` — the one-byte tag it travels under on its channel and
-// a human-readable name for stats and logs. The tag byte is written by
-// encode_tagged() and consumed by the router before the body decoder runs,
-// so message structs never see their own tag and the per-protocol
-// `tagged()` helpers and switch-on-tag decoders disappear.
+// A wire message is a plain struct that (a) declares its serde field list
+// (common/serde.h), which is its whole body format, and (b) names itself
+// with a static descriptor `kDesc` — the one-byte tag it travels under on
+// its channel and a human-readable name for stats and logs. The tag byte
+// is written by encode_tagged() and consumed by the router before
+// serde::read decodes the body, so message structs never see their own
+// tag.
 //
 // Tags are scoped per channel: two messages may share a tag value as long
 // as they never share a channel (the router rejects duplicate registration
@@ -29,11 +29,9 @@ struct MsgDesc {
 };
 
 template <typename M>
-concept WireMessage = requires(const M& m, serde::Writer& w, serde::Reader& r) {
+concept WireMessage = serde::Fielded<M> && requires {
   { M::kDesc.tag } -> std::convertible_to<std::uint8_t>;
   { M::kDesc.name } -> std::convertible_to<const char*>;
-  m.encode(w);
-  { M::decode(r) } -> std::convertible_to<M>;
 };
 
 /// Encodes `m` prefixed with its channel tag — the bytes a router expects.
@@ -41,7 +39,7 @@ template <WireMessage M>
 Bytes encode_tagged(const M& m) {
   serde::Writer w;
   w.u8(M::kDesc.tag);
-  m.encode(w);
+  serde::write(w, m);
   return w.take();
 }
 

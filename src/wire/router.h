@@ -139,7 +139,7 @@ class Router {
                                     std::size_t bytes) {
       std::optional<M> msg;
       try {
-        msg.emplace(M::decode(r));
+        msg.emplace(serde::read<M>(r));
         r.expect_done();  // exact-consume: trailing bytes are malformed
       } catch (const serde::DecodeError& e) {
         if (StatsHub* h = hub()) {

@@ -104,7 +104,7 @@ TEST(SrbHub, SpoofedWireMessagesRejected) {
   crypto::Signature bogus;
   bogus.key = fx.world.key_of(2);
   bogus.mac.fill(0xAB);
-  bogus.encode(w);
+  serde::write(w, bogus);
   fx.nodes[2]->broadcast(kSrbCh, w.take());
   fx.world.run_to_quiescence();
   EXPECT_TRUE(fx.endpoints[0]->delivered().empty());
@@ -316,7 +316,7 @@ class EquivocatingNoneqSender final : public sim::Process {
       vals.u8(1);  // wire tag of noneq-batch
       vals.uvarint(1);
       vals.bytes(value);
-      sig.encode(vals);
+      serde::write(vals, sig);
       send(p, kRoundCh,
            wire::encode_tagged(rounds::RoundMsg{1, vals.take()}));
     }

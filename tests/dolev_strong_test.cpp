@@ -99,7 +99,7 @@ class EquivocatingDsSender final : public sim::Process {
       wire.bytes(value);
       wire.uvarint(1);  // one signature
       wire.uvarint(id());
-      signer().sign(inner.buffer()).encode(wire);
+      serde::write(wire, signer().sign(inner.buffer()));
       send(p, channel, wire.take());
     }
   }
@@ -155,7 +155,7 @@ TEST(DolevStrong, ForgedChainsRejected) {
     inner.uvarint(0);  // claims instance sender 0 but cannot sign for it
     inner.uvarint(90);
     inner.bytes(bytes_of("fake"));
-    forger.signer().sign(inner.buffer()).encode(wire);
+    serde::write(wire, forger.signer().sign(inner.buffer()));
     forger.broadcast(90, wire.take());
   });
   fx.world.start();

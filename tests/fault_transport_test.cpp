@@ -67,6 +67,45 @@ TEST(FaultPlanCodec, SerdeRoundTrips) {
   EXPECT_EQ(serde::decode<FaultPlan>(serde::encode(plan)), plan);
 }
 
+TEST(FaultPlanCodec, MalformedBytesThrowDecodeError) {
+  // Each input is a valid plan prefix with one field out of range; the
+  // decode must fail with DecodeError, not allocate, throw another type or
+  // truncate the value.
+  constexpr std::uint64_t kHuge = 1ULL << 62;
+  auto plan_bytes = [](std::uint64_t drop, auto&& partitions) {
+    serde::Writer w;
+    w.uvarint(1);  // seed
+    w.uvarint(drop);
+    for (int i = 0; i < 3; ++i) w.uvarint(0);  // duplicate, delay, corrupt
+    w.uvarint(1);                              // delay_min_ticks
+    w.uvarint(1);                              // delay_max_ticks
+    partitions(w);
+    return w.take();
+  };
+  // One epoch [0, 1) with one group whose size and first member are given.
+  auto one_group = [](std::uint64_t size, std::uint64_t member) {
+    return [=](serde::Writer& w) {
+      w.uvarint(1);  // partitions
+      w.uvarint(0);  // start
+      w.uvarint(1);  // end
+      w.uvarint(1);  // groups
+      w.uvarint(size);
+      w.uvarint(member);
+    };
+  };
+  const std::vector<std::pair<const char*, Bytes>> inputs = {
+      {"partitions count 2^62",
+       plan_bytes(0, [&](serde::Writer& w) { w.uvarint(kHuge); })},
+      {"group size 2^62", plan_bytes(0, one_group(kHuge, 0))},
+      {"drop rate 2^32+5",
+       plan_bytes((1ULL << 32) + 5, [](serde::Writer& w) { w.uvarint(0); })},
+      {"group member 2^32+7", plan_bytes(0, one_group(1, (1ULL << 32) + 7))},
+  };
+  for (const auto& [what, bytes] : inputs)
+    EXPECT_THROW((void)serde::decode<FaultPlan>(bytes), serde::DecodeError)
+        << what;
+}
+
 TEST(FaultPlanCodec, TextToleratesCommentsBlanksAndUnknownKeys) {
   const auto parsed = FaultPlan::parse_text(
       "# a chaos run\n"

@@ -8,10 +8,16 @@
 #include "broadcast/srb_from_uni.h"
 #include "broadcast/srb_hub.h"
 #include "common/log.h"
+#include "explore/scenario.h"
+#include "explore/trace.h"
+#include "rounds/round_driver.h"
+#include "runtime/fault.h"
 #include "sim/adversaries.h"
 #include "test_util.h"
 #include "trusted/a2m.h"
 #include "trusted/trinc.h"
+#include "trusted/trinc_from_srb.h"
+#include "trusted/usig.h"
 
 namespace unidir {
 namespace {
@@ -234,7 +240,36 @@ TEST(FuzzDecode, ArbitraryBytesNeverCrashTheDecoders) {
     try_decode(broadcast::UniSlotPayload{});
     try_decode(agreement::Command{});
     try_decode(agreement::Reply{});
+    try_decode(runtime::FaultPlan{});
+    try_decode(runtime::PartitionEpoch{});
+    try_decode(sim::WorkloadSpec{});
+    try_decode(explore::ScenarioSpec{});
+    try_decode(explore::CrashEvent{});
+    try_decode(explore::RecoveryEvent{});
+    try_decode(explore::ScheduleTrace{});
+    try_decode(agreement::ExecutionLog{});
+    try_decode(agreement::ExecutionDeduper{});
+    try_decode(agreement::InstallWitness{});
+    try_decode(trusted::UniqueIdentifier{});
+    try_decode(trusted::SrbAttestation{});
+    try_decode(broadcast::CopyVote{});
+    try_decode(rounds::RoundMsg{});
+    try_decode(agreement::VcEntry{});
   }
+}
+
+TEST(FuzzDecode, BooleanFieldsAcceptOnlyZeroOrOne) {
+  // WorkloadSpec's third field is open_loop; ScenarioSpec ends with trace,
+  // batch_size, replica_pipeline and a 9-byte default workload.
+  Bytes workload = serde::encode(sim::WorkloadSpec{});
+  workload[2] = 2;
+  EXPECT_THROW((void)serde::decode<sim::WorkloadSpec>(workload),
+               serde::DecodeError);
+  Bytes spec = serde::encode(explore::ScenarioSpec{});
+  ASSERT_EQ(spec[spec.size() - 12], 0u);
+  spec[spec.size() - 12] = 2;
+  EXPECT_THROW((void)serde::decode<explore::ScenarioSpec>(spec),
+               serde::DecodeError);
 }
 
 TEST(FuzzDecode, MutatedValidMessagesNeverCrash) {

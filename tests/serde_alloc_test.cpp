@@ -125,13 +125,13 @@ TEST(SerdeAlloc, SmallMessageFromAFreshWriterAllocatesOnce) {
   const std::uint64_t allocs = allocations_during([&] {
     Writer w;
     w.u8(6);  // a wire tag
-    cmd.encode(w);
+    write(w, cmd);
     out = w.take();
   });
   EXPECT_EQ(allocs, 1u) << "the first growth should cover a small message";
   Reader r(out);
   EXPECT_EQ(r.u8(), 6u);
-  EXPECT_EQ(agreement::Command::decode(r), cmd);
+  EXPECT_EQ(read<agreement::Command>(r), cmd);
 }
 
 TEST(SerdeAlloc, SignatureAndUiDecodesAllocateNothing) {
@@ -144,9 +144,9 @@ TEST(SerdeAlloc, SignatureAndUiDecodesAllocateNothing) {
   crypto::Signature sig_back;
   const std::uint64_t allocs = allocations_during([&] {
     Reader r(ui_bytes);
-    ui_back = trusted::UniqueIdentifier::decode(r);
+    ui_back = read<trusted::UniqueIdentifier>(r);
     Reader rs(sig_bytes);
-    sig_back = crypto::Signature::decode(rs);
+    sig_back = read<crypto::Signature>(rs);
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(ui_back, ui);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <optional>
+#include <tuple>
 
 #include "common/serde.h"
 
@@ -125,16 +127,7 @@ struct Point {
   std::uint64_t x = 0;
   std::uint64_t y = 0;
   bool operator==(const Point&) const = default;
-  void encode(Writer& w) const {
-    w.uvarint(x);
-    w.uvarint(y);
-  }
-  static Point decode(Reader& r) {
-    Point p;
-    p.x = r.uvarint();
-    p.y = r.uvarint();
-    return p;
-  }
+  static auto fields(auto& m) { return std::tie(m.x, m.y); }
 };
 
 TEST(Serde, UserTypesViaMemberFunctions) {
@@ -142,6 +135,87 @@ TEST(Serde, UserTypesViaMemberFunctions) {
   EXPECT_EQ(round_trip(p), p);
   const std::vector<Point> pts = {{1, 2}, {3, 4}};
   EXPECT_EQ(round_trip(pts), pts);
+}
+
+TEST(Serde, FieldListIsTheWireOrder) {
+  EXPECT_EQ(encode(Point{1, 300}), (Bytes{0x01, 0xAC, 0x02}));
+}
+
+/// A derived type inherits its base's field list.
+struct Labeled : Point {};
+
+TEST(Serde, DerivedTypesInheritTheFieldList) {
+  Labeled l;
+  l.x = 5;
+  l.y = 6;
+  EXPECT_EQ(encode(l), encode(Point{5, 6}));
+  EXPECT_EQ(round_trip(l).y, 6u);
+}
+
+enum class Color : std::uint8_t { Red = 1, Blue = 2 };
+
+struct Paint {
+  Color color = Color::Red;
+  std::uint32_t tint = 0;
+  std::array<std::uint8_t, 4> code{};
+
+  static auto fields(auto& m) { return std::tie(m.color, m.tint, m.code); }
+  void decoded() const {
+    if (color != Color::Red && color != Color::Blue)
+      throw DecodeError("bad color");
+  }
+};
+
+TEST(Serde, EnumsArrayAndNarrowFields) {
+  const Paint p{Color::Blue, 7, {1, 2, 3, 4}};
+  // One byte of enum, a varint, then the array as length-prefixed bytes.
+  EXPECT_EQ(encode(p), (Bytes{0x02, 0x07, 0x04, 1, 2, 3, 4}));
+  const Paint back = round_trip(p);
+  EXPECT_EQ(back.color, Color::Blue);
+  EXPECT_EQ(back.code, p.code);
+}
+
+TEST(Serde, MalformedFieldsThrowDecodeError) {
+  const std::vector<Bytes> bad = {
+      {0x03, 0x07, 0x04, 1, 2, 3, 4},                    // decoded() rejects
+      {0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x04, 1, 2, 3, 4},  // tint > 2^32
+      {0x01, 0x07, 0x03, 1, 2, 3},                       // array too short
+      {0x01, 0x07, 0x05, 1, 2, 3, 4, 5},                 // array too long
+  };
+  for (const Bytes& b : bad)
+    EXPECT_THROW((void)decode<Paint>(b), DecodeError) << to_hex(b);
+}
+
+/// Private state stays private: only the codec sees the field list.
+class Counter {
+ public:
+  void bump() { ++n_; }
+  std::uint64_t value() const { return n_; }
+  std::uint64_t doubled() const { return doubled_; }
+
+ private:
+  friend struct serde::Access;
+  static auto fields(auto& m) { return std::tie(m.n_); }
+  void decoded() { doubled_ = 2 * n_; }  // derived state, never on the wire
+
+  std::uint64_t n_ = 0;
+  std::uint64_t doubled_ = 0;
+};
+
+TEST(Serde, PrivateFieldsAndDerivedStateThroughAccess) {
+  Counter c;
+  c.bump();
+  c.bump();
+  EXPECT_EQ(encode(c), (Bytes{0x02}));
+  const Counter back = round_trip(c);
+  EXPECT_EQ(back.value(), 2u);
+  EXPECT_EQ(back.doubled(), 4u);
+}
+
+TEST(Serde, WriteAllButLastOmitsTheTrailingField) {
+  Writer w;
+  write_all_but_last(w, Paint{Color::Blue, 7, {1, 2, 3, 4}});
+  EXPECT_EQ(w.buffer(), (Bytes{0x02, 0x07}));
 }
 
 }  // namespace

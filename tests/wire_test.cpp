@@ -21,8 +21,7 @@ struct PingMsg {
 
   std::uint64_t value = 0;
 
-  void encode(serde::Writer& w) const { w.uvarint(value); }
-  static PingMsg decode(serde::Reader& r) { return {r.uvarint()}; }
+  static auto fields(auto& m) { return std::tie(m.value); }
 };
 
 struct PongMsg {
@@ -30,16 +29,14 @@ struct PongMsg {
 
   Bytes note;
 
-  void encode(serde::Writer& w) const { w.bytes(note); }
-  static PongMsg decode(serde::Reader& r) { return {r.bytes()}; }
+  static auto fields(auto& m) { return std::tie(m.note); }
 };
 
 /// Same tag as PingMsg — registering both on one router must throw.
 struct ClashMsg {
   static constexpr MsgDesc kDesc{1, "wt-clash"};
 
-  void encode(serde::Writer&) const {}
-  static ClashMsg decode(serde::Reader&) { return {}; }
+  static auto fields(auto&) { return std::tie(); }
 };
 
 /// Routes kTestCh; exposes raw sends so tests can inject Byzantine bytes.
